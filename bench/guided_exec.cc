@@ -234,7 +234,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(steady_svc.stats().plan_hits));
   std::printf("  decisions: %lld products, %lld single-pass, "
               "%lld dense-direct, %lld fallbacks (%lld budget, "
-              "%lld overflow), %lld merge rows, %lld scatter rows\n",
+              "%lld overflow), %lld scatter rows\n",
               static_cast<long long>(stats.guided_products),
               static_cast<long long>(stats.single_pass),
               static_cast<long long>(stats.dense_direct),
@@ -242,7 +242,6 @@ int main(int argc, char** argv) {
                                      stats.overflow_fallbacks),
               static_cast<long long>(stats.two_pass_fallbacks),
               static_cast<long long>(stats.overflow_fallbacks),
-              static_cast<long long>(stats.merge_rows),
               static_cast<long long>(stats.scatter_rows));
   std::printf("  reserve: guided %lld bytes vs blind model %lld bytes "
               "(%lld saved)\n",
@@ -275,7 +274,6 @@ int main(int argc, char** argv) {
     report.Add("dense_direct", stats.dense_direct);
     report.Add("two_pass_fallbacks", stats.two_pass_fallbacks);
     report.Add("overflow_fallbacks", stats.overflow_fallbacks);
-    report.Add("merge_rows", stats.merge_rows);
     report.Add("scatter_rows", stats.scatter_rows);
     report.Add("guided_reserve_bytes", stats.guided_reserve_bytes);
     report.Add("blind_reserve_bytes", stats.blind_reserve_bytes);

@@ -3,10 +3,9 @@
 // For C = A B, the global Algorithm 1 estimate (mnc_estimator.h) answers
 // "how many non-zeros will C have?". Guided execution needs the finer
 // question "how many non-zeros will *row i* of C have?" so SpGEMM output
-// slices can be pre-sized and the per-row accumulator chosen before any
-// value is computed. This API answers it from A's actual CSR row patterns
-// combined with B's MNC sketch, applying the paper's machinery at row
-// granularity:
+// slices can be pre-sized before any value is computed. This API answers it
+// from A's actual CSR row patterns combined with B's MNC sketch, applying
+// the paper's machinery at row granularity:
 //
 //   * upper bound (Thm 3.2 shape): the columns of output row i are a subset
 //     of the union of B's rows selected by A's row pattern, so

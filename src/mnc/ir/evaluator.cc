@@ -113,7 +113,6 @@ Matrix Evaluator::GuidedMultiply(const ExprNode* node, const Matrix& a,
         prof != nullptr && prof->guided.single_pass_budget_bytes > 0
             ? prof->guided.single_pass_budget_bytes
             : options_.single_pass_budget_bytes;
-    opts.merge_accum_max_nnz = options_.merge_accum_max_nnz;
     if (options_.plan_record) {
       ProductPlanEntry entry;
       entry.sparse_sparse = true;

@@ -7,8 +7,8 @@
 // runtime baseline "MM" in Figures 7(a)/8(a).
 //
 // With EvaluatorOptions::guided set, MNC sketches are propagated alongside
-// evaluation and every matrix product is pre-sized, format-dispatched and
-// accumulator-dispatched from the estimates before computing — the
+// evaluation and every matrix product is pre-sized and format-dispatched
+// from the estimates before computing — the
 // sketch-guided execution layer (see ops_product.h for the kernels and the
 // bit-identity guarantee).
 
@@ -56,14 +56,13 @@ struct ProductPlanEntry {
 // evaluator behaves exactly as before: no sketches are built and every
 // operation runs the blind kernels. With guided on, MNC sketches are
 // propagated alongside evaluation and every matrix product consults them to
-// pick allocation, output format and per-row accumulator up front — the
+// pick allocation, pass structure and output format up front — the
 // guided kernels guarantee bit-identical values either way (see
 // mnc/matrix/ops_product.h), so `guided` is purely a performance switch.
 struct EvaluatorOptions {
   bool guided = false;
   // Forwarded to GuidedProductOptions for sparse-sparse products.
   int64_t single_pass_budget_bytes = 64LL << 20;
-  int64_t merge_accum_max_nnz = 32;
   // Seed for sketch propagation's probabilistic rounding; evaluation order
   // over a fixed DAG is deterministic, so a fixed seed makes guided
   // decisions reproducible.

@@ -1,9 +1,15 @@
 #include "mnc/matrix/io.h"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <ostream>
-#include <sstream>
+#include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "mnc/matrix/coo_matrix.h"
 #include "mnc/matrix/mm_header.h"
@@ -16,6 +22,51 @@ namespace {
 // Entries reserved up front when the stream size is unknown (non-seekable);
 // beyond this the vectors grow geometrically, paid for by real input.
 constexpr int64_t kUnknownSizeReserveCap = int64_t{1} << 20;
+
+// Whitespace as operator>> skips it in the classic locale.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+// Reads the next number of an entry line the way `std::istream >> value`
+// does in the classic locale, without building a stream per line: skips
+// leading whitespace, accepts a leading '+', stops at the first character
+// that cannot continue the number, and fails where extraction would (no
+// digits, integer overflow, a double that overflows, inf/nan spellings, an
+// exponent marker without digits). A double that underflows reads as
+// strtod rounds it, as the stream does.
+template <typename T>
+bool ParseField(const char*& p, const char* end, T& value) {
+  while (p != end && IsSpace(*p)) ++p;
+  const char* q = p;
+  if (q != end && *q == '+') {
+    ++q;
+    if (q != end && (*q == '+' || *q == '-')) return false;
+  }
+  std::from_chars_result r;
+  if constexpr (std::is_integral_v<T>) {
+    r = std::from_chars(q, end, value);
+    if (r.ec != std::errc()) return false;
+  } else {
+    const char* digits = q != end && *q == '-' ? q + 1 : q;
+    if (digits == end || !(std::isdigit(static_cast<unsigned char>(*digits)) ||
+                           *digits == '.')) {
+      return false;
+    }
+    r = std::from_chars(q, end, value);
+    if (r.ec == std::errc::result_out_of_range) {
+      value = std::strtod(std::string(q, r.ptr).c_str(), nullptr);
+      if (std::isinf(value)) return false;
+    } else if (r.ec != std::errc()) {
+      return false;
+    }
+    if (r.ptr != end && (*r.ptr == 'e' || *r.ptr == 'E') &&
+        std::find_if(q, r.ptr, [](char c) { return c == 'e' || c == 'E'; }) ==
+            r.ptr) {
+      return false;
+    }
+  }
+  p = r.ptr;
+  return true;
+}
 
 }  // namespace
 
@@ -76,16 +127,17 @@ StatusOr<CsrMatrix> ReadMatrixMarket(std::istream& is) {
                               std::to_string(line_no + 1) + ")");
     }
     ++line_no;
-    std::istringstream entry(line);
+    const char* p = line.data();
+    const char* const end = p + line.size();
     int64_t i = 0;
     int64_t j = 0;
     double v = 1.0;
-    if (!(entry >> i >> j)) {
+    if (!ParseField(p, end, i) || !ParseField(p, end, j)) {
       return Status::InvalidArgument("line " + std::to_string(line_no) +
                                      ": malformed entry \"" +
                                      line.substr(0, 40) + "\"");
     }
-    if (!header.pattern && !(entry >> v)) {
+    if (!header.pattern && !ParseField(p, end, v)) {
       return Status::InvalidArgument("line " + std::to_string(line_no) +
                                      ": entry is missing its value: \"" +
                                      line.substr(0, 40) + "\"");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -10,91 +11,149 @@
 
 namespace mnc {
 
-CsrMatrix MultiplySparseSparse(const CsrMatrix& a, const CsrMatrix& b,
-                               int64_t expected_nnz) {
-  MNC_CHECK_EQ(a.cols(), b.rows());
+namespace {
+
+// The row accumulator over B, on a leased arena's scatter buffers.
+kernels::SpGemmRowAccumulator RowAccumulator(ScratchArena& arena,
+                                            const CsrMatrix& b) {
+  return kernels::SpGemmRowAccumulator(arena, b.cols(), b.row_ptr().data(),
+                                       b.col_idx().data(), b.values().data());
+}
+
+void ScatterRow(kernels::SpGemmRowAccumulator& acc, const CsrMatrix& a,
+                int64_t i) {
+  const auto a_idx = a.RowIndices(i);
+  acc.Scatter(a_idx.data(), a.RowValues(i).data(),
+              static_cast<int64_t>(a_idx.size()));
+}
+
+// Sequential Gustavson: rows append in order into arrays reserved for
+// `reserve` entries (0: grow geometrically). The arrays' size runs ahead of
+// the entry count by at most one row's bound and is trimmed at the end. The
+// bound is the row's contribution count, or its exact count (a popcount)
+// where the contribution count alone would outgrow the reserve.
+CsrMatrix SequentialProduct(const CsrMatrix& a, const CsrMatrix& b,
+                            int64_t reserve) {
   const int64_t m = a.rows();
   const int64_t l = b.cols();
-
   std::vector<int64_t> row_ptr(static_cast<size_t>(m) + 1, 0);
   std::vector<int64_t> col_idx;
   std::vector<double> values;
-  if (expected_nnz > 0) {
-    const int64_t cap = std::min(expected_nnz, m * l);
-    col_idx.reserve(static_cast<size_t>(cap));
-    values.reserve(static_cast<size_t>(cap));
-  }
+  col_idx.reserve(static_cast<size_t>(reserve));
+  values.reserve(static_cast<size_t>(reserve));
 
-  // Gustavson: per output row, scatter-accumulate into a dense accumulator
-  // with an occupancy list, then gather in sorted column order. Scratch
-  // comes from the pooled arena (clean-buffer invariant: the gather re-zeroes
-  // exactly the touched entries).
   ScratchPool::Lease lease = ScratchPool::Global().Acquire();
-  lease->EnsureScatterCols(l);
-  double* acc = lease->scatter_acc();
-  char* seen = lease->scatter_seen();
-  std::vector<int64_t>& occupied = lease->scatter_list();
-
+  kernels::SpGemmRowAccumulator acc = RowAccumulator(*lease, b);
+  int64_t nnz = 0;
   for (int64_t i = 0; i < m; ++i) {
-    const auto a_idx = a.RowIndices(i);
-    const auto a_val = a.RowValues(i);
-    for (size_t ka = 0; ka < a_idx.size(); ++ka) {
-      const int64_t k = a_idx[ka];
-      const auto b_idx = b.RowIndices(k);
-      const auto b_val = b.RowValues(k);
-      kernels::SpGemmScatterRow(b_idx.data(), b_val.data(),
-                                static_cast<int64_t>(b_idx.size()), a_val[ka],
-                                acc, seen, occupied);
+    ScatterRow(acc, a, i);
+    size_t need = static_cast<size_t>(nnz + std::min(acc.flops(), l));
+    if (need > col_idx.capacity()) {
+      need = static_cast<size_t>(nnz + acc.Count());
     }
-    const size_t base = col_idx.size();
-    col_idx.resize(base + occupied.size());
-    values.resize(base + occupied.size());
-    const int64_t written = kernels::SpGemmGatherRow(
-        occupied, acc, seen, col_idx.data() + base, values.data() + base);
-    col_idx.resize(base + static_cast<size_t>(written));
-    values.resize(base + static_cast<size_t>(written));
-    row_ptr[static_cast<size_t>(i) + 1] = static_cast<int64_t>(col_idx.size());
+    if (col_idx.size() < need) {
+      col_idx.resize(need);
+      values.resize(need);
+    }
+    nnz += acc.Gather(col_idx.data() + nnz, values.data() + nnz);
+    row_ptr[static_cast<size_t>(i) + 1] = nnz;
   }
+  col_idx.resize(static_cast<size_t>(nnz));
+  values.resize(static_cast<size_t>(nnz));
   return CsrMatrix(m, l, std::move(row_ptr), std::move(col_idx),
                    std::move(values));
 }
 
-namespace {
-
-// Symbolic pass shared by the parallel SpGEMM and the parallel exact nnz:
-// fills row_nnz[i] with the number of non-zero columns reachable in output
-// row i (pattern only — no values, so explicit numeric cancellation is not
-// detected here; the fill pass below compacts cancelled entries the same way
-// the sequential kernel does, by value). For pattern counting the two passes
-// agree because ProductNnzExact is also pattern-based.
-void SymbolicRowCounts(const CsrMatrix& a, const CsrMatrix& b,
-                       const ParallelConfig& config, ThreadPool* pool,
-                       std::vector<int64_t>& row_nnz) {
-  const int64_t m = a.rows();
-  const int64_t l = b.cols();
-  row_nnz.assign(static_cast<size_t>(m), 0);
-  ParallelForBlocks(pool, config, m,
+// Symbolic pass shared by the parallel SpGEMM and ProductNnzExact: the
+// number of columns reachable in each output row (pattern
+// only, so numeric cancellation is not seen here; the fill pass drops
+// cancelled entries by value and the compaction closes the gaps).
+std::vector<int64_t> SymbolicRowCounts(const CsrMatrix& a, const CsrMatrix& b,
+                                       const ParallelConfig& config,
+                                       ThreadPool* pool) {
+  std::vector<int64_t> row_nnz(static_cast<size_t>(a.rows()), 0);
+  ParallelForBlocks(pool, config, a.rows(),
                     [&](int64_t /*block*/, int64_t lo, int64_t hi) {
-    // Per-worker scratch from the pooled arena — no per-block O(cols)
-    // allocation/zeroing.
     ScratchPool::Lease lease = ScratchPool::Global().Acquire();
-    lease->EnsureScatterCols(l);
-    char* seen = lease->scatter_seen();
-    std::vector<int64_t>& occupied = lease->scatter_list();
+    kernels::SpGemmRowAccumulator acc = RowAccumulator(*lease, b);
     for (int64_t i = lo; i < hi; ++i) {
-      for (int64_t k : a.RowIndices(i)) {
-        const auto b_idx = b.RowIndices(k);
-        kernels::SpGemmSymbolicRow(b_idx.data(),
-                                   static_cast<int64_t>(b_idx.size()), seen,
-                                   occupied);
-      }
-      row_nnz[static_cast<size_t>(i)] =
-          kernels::SpGemmResetSymbolicRow(occupied, seen);
+      const auto a_idx = a.RowIndices(i);
+      acc.ScatterPattern(a_idx.data(), static_cast<int64_t>(a_idx.size()));
+      row_nnz[static_cast<size_t>(i)] = acc.PatternCountAndReset();
     }
   });
+  return row_nnz;
+}
+
+// Single-pass parallel fill: output row i goes into the provisional slice
+// [scan[i], scan[i+1]) of one shared array pair, then the slices are packed
+// in place. With `checked` (bounds that are estimates, not counts) a row
+// whose pattern outgrows its slice is discarded before anything is written
+// past the slice, and the fill stops and returns nullopt.
+std::optional<CsrMatrix> FillSlices(const CsrMatrix& a, const CsrMatrix& b,
+                                    const std::vector<int64_t>& scan,
+                                    bool checked, const ParallelConfig& config,
+                                    ThreadPool* pool) {
+  const int64_t m = a.rows();
+  std::vector<int64_t> col_idx(static_cast<size_t>(scan.back()));
+  std::vector<double> values(col_idx.size());
+  std::vector<int64_t> row_nnz(static_cast<size_t>(m), 0);
+  std::atomic<bool> overflow{false};
+  ParallelForBlocks(pool, config, m,
+                    [&](int64_t /*block*/, int64_t lo, int64_t hi) {
+    ScratchPool::Lease lease = ScratchPool::Global().Acquire();
+    kernels::SpGemmRowAccumulator acc = RowAccumulator(*lease, b);
+    for (int64_t i = lo; i < hi; ++i) {
+      // The result is discarded on overflow, so later rows may bail early.
+      if (checked && overflow.load(std::memory_order_relaxed)) break;
+      const int64_t base = scan[static_cast<size_t>(i)];
+      const int64_t cap = scan[static_cast<size_t>(i) + 1] - base;
+      ScatterRow(acc, a, i);
+      if (checked && acc.flops() > cap && acc.Count() > cap) {
+        acc.Discard();
+        overflow.store(true, std::memory_order_relaxed);
+        break;
+      }
+      row_nnz[static_cast<size_t>(i)] =
+          acc.Gather(col_idx.data() + base, values.data() + base);
+    }
+  });
+  if (overflow.load(std::memory_order_relaxed)) return std::nullopt;
+
+  // Rows only move left (a row's count never exceeds its slice), so the
+  // packing runs in place and the arrays are trimmed, never copied.
+  std::vector<int64_t> row_ptr(static_cast<size_t>(m) + 1, 0);
+  for (int64_t i = 0; i < m; ++i) {
+    const int64_t src = scan[static_cast<size_t>(i)];
+    const int64_t dst = row_ptr[static_cast<size_t>(i)];
+    const int64_t cnt = row_nnz[static_cast<size_t>(i)];
+    if (dst != src) {
+      std::copy_n(col_idx.begin() + src, cnt, col_idx.begin() + dst);
+      std::copy_n(values.begin() + src, cnt, values.begin() + dst);
+    }
+    row_ptr[static_cast<size_t>(i) + 1] = dst + cnt;
+  }
+  col_idx.resize(static_cast<size_t>(row_ptr[static_cast<size_t>(m)]));
+  values.resize(col_idx.size());
+  return CsrMatrix(m, b.cols(), std::move(row_ptr), std::move(col_idx),
+                   std::move(values));
+}
+
+// Exclusive scan of per-row slice sizes.
+std::vector<int64_t> ExclusiveScan(const std::vector<int64_t>& sizes) {
+  std::vector<int64_t> scan(sizes.size() + 1, 0);
+  for (size_t i = 0; i < sizes.size(); ++i) scan[i + 1] = scan[i] + sizes[i];
+  return scan;
 }
 
 }  // namespace
+
+CsrMatrix MultiplySparseSparse(const CsrMatrix& a, const CsrMatrix& b,
+                               int64_t expected_nnz) {
+  MNC_CHECK_EQ(a.cols(), b.rows());
+  return SequentialProduct(
+      a, b, expected_nnz > 0 ? std::min(expected_nnz, a.rows() * b.cols()) : 0);
+}
 
 CsrMatrix MultiplySparseSparse(const CsrMatrix& a, const CsrMatrix& b,
                                const ParallelConfig& orig, ThreadPool* pool) {
@@ -107,80 +166,15 @@ CsrMatrix MultiplySparseSparse(const CsrMatrix& a, const CsrMatrix& b,
   if (!config.enabled() || pool == nullptr) {
     return MultiplySparseSparse(a, b);
   }
-  const int64_t m = a.rows();
-  const int64_t l = b.cols();
-
-  // Pass 1 (symbolic): per-row pattern counts, in parallel.
-  std::vector<int64_t> pattern_nnz;
-  SymbolicRowCounts(a, b, config, pool, pattern_nnz);
-
-  // Exclusive scan: row i's entries may occupy [scan[i], scan[i+1]). The
-  // pattern count is an upper bound on the numeric count (values that cancel
-  // to exactly 0.0 are dropped by the fill pass, as in the sequential
-  // kernel), so rows are filled into provisional slices and compacted after.
-  std::vector<int64_t> scan(static_cast<size_t>(m) + 1, 0);
-  for (int64_t i = 0; i < m; ++i) {
-    scan[static_cast<size_t>(i) + 1] =
-        scan[static_cast<size_t>(i)] + pattern_nnz[static_cast<size_t>(i)];
-  }
-  const int64_t pattern_total = scan[static_cast<size_t>(m)];
-
-  std::vector<int64_t> col_idx(static_cast<size_t>(pattern_total));
-  std::vector<double> values(static_cast<size_t>(pattern_total));
-  std::vector<int64_t> row_nnz(static_cast<size_t>(m), 0);
-
-  // Pass 2 (fill): each block scatters into a thread-local accumulator and
-  // gathers sorted entries into its rows' disjoint slices — identical
-  // per-row arithmetic to the sequential kernel.
-  ParallelForBlocks(pool, config, m,
-                    [&](int64_t /*block*/, int64_t lo, int64_t hi) {
-    // Per-worker scratch from the pooled arena instead of fresh O(cols)
-    // acc/seen vectors per block.
-    ScratchPool::Lease lease = ScratchPool::Global().Acquire();
-    lease->EnsureScatterCols(l);
-    double* acc = lease->scatter_acc();
-    char* seen = lease->scatter_seen();
-    std::vector<int64_t>& occupied = lease->scatter_list();
-    for (int64_t i = lo; i < hi; ++i) {
-      const auto a_idx = a.RowIndices(i);
-      const auto a_val = a.RowValues(i);
-      for (size_t ka = 0; ka < a_idx.size(); ++ka) {
-        const int64_t k = a_idx[ka];
-        const auto b_idx = b.RowIndices(k);
-        const auto b_val = b.RowValues(k);
-        kernels::SpGemmScatterRow(b_idx.data(), b_val.data(),
-                                  static_cast<int64_t>(b_idx.size()),
-                                  a_val[ka], acc, seen, occupied);
-      }
-      const int64_t base = scan[static_cast<size_t>(i)];
-      row_nnz[static_cast<size_t>(i)] = kernels::SpGemmGatherRow(
-          occupied, acc, seen, col_idx.data() + base, values.data() + base);
-    }
-  });
-
-  // Compact the provisional slices into final CSR (cheap sequential copy;
-  // no-op-sized when nothing cancelled).
-  std::vector<int64_t> row_ptr(static_cast<size_t>(m) + 1, 0);
-  for (int64_t i = 0; i < m; ++i) {
-    row_ptr[static_cast<size_t>(i) + 1] =
-        row_ptr[static_cast<size_t>(i)] + row_nnz[static_cast<size_t>(i)];
-  }
-  const int64_t total = row_ptr[static_cast<size_t>(m)];
-  if (total != pattern_total) {
-    std::vector<int64_t> packed_idx(static_cast<size_t>(total));
-    std::vector<double> packed_val(static_cast<size_t>(total));
-    for (int64_t i = 0; i < m; ++i) {
-      const int64_t src = scan[static_cast<size_t>(i)];
-      const int64_t dst = row_ptr[static_cast<size_t>(i)];
-      const int64_t cnt = row_nnz[static_cast<size_t>(i)];
-      std::copy_n(col_idx.begin() + src, cnt, packed_idx.begin() + dst);
-      std::copy_n(values.begin() + src, cnt, packed_val.begin() + dst);
-    }
-    col_idx = std::move(packed_idx);
-    values = std::move(packed_val);
-  }
-  return CsrMatrix(m, l, std::move(row_ptr), std::move(col_idx),
-                   std::move(values));
+  // Pass 1 (symbolic): per-row pattern counts, in parallel. The pattern
+  // count bounds the numeric count (exactly-cancelled values are dropped by
+  // the fill, as in the sequential kernel), so the scan gives each row a
+  // provisional slice that the fill cannot overflow.
+  const std::vector<int64_t> scan =
+      ExclusiveScan(SymbolicRowCounts(a, b, config, pool));
+  // Pass 2 (fill): each block gathers its rows into their disjoint slices
+  // with the sequential kernel's per-row arithmetic.
+  return *FillSlices(a, b, scan, /*checked=*/false, config, pool);
 }
 
 DenseMatrix MultiplyDenseDense(const DenseMatrix& a, const DenseMatrix& b,
@@ -262,7 +256,6 @@ void GuidedExecStats::MergeFrom(const GuidedExecStats& other) {
   two_pass_fallbacks += other.two_pass_fallbacks;
   overflow_fallbacks += other.overflow_fallbacks;
   dense_direct += other.dense_direct;
-  merge_rows += other.merge_rows;
   scatter_rows += other.scatter_rows;
   guided_reserve_bytes += other.guided_reserve_bytes;
   blind_reserve_bytes += other.blind_reserve_bytes;
@@ -274,60 +267,6 @@ int64_t BlindReserveBytesModel(int64_t nnz) {
   while (cap < nnz) cap <<= 1;
   return 16 * cap;  // 8B value + 8B column index per entry
 }
-
-namespace {
-
-// Sorted small-row merge accumulator: materializes every (column, product)
-// contribution of one output row, stable-sorts by column, and
-// run-accumulates into out_idx/out_val. The stable sort preserves the
-// ascending-k contribution order within each column, and each run sums the
-// same products in the same order into a 0.0-seeded accumulator as the
-// scatter kernel does — so the emitted values are bit-identical to
-// scatter + gather, including the dropped exactly-cancelled runs. Returns
-// the entry count, or -1 when the row needs more than `cap` slots.
-int64_t SpGemmMergeRow(const CsrMatrix& a, const CsrMatrix& b, int64_t i,
-                       std::vector<std::pair<int64_t, double>>& pairs,
-                       int64_t* out_idx, double* out_val, int64_t cap) {
-  pairs.clear();
-  const auto a_idx = a.RowIndices(i);
-  const auto a_val = a.RowValues(i);
-  for (size_t ka = 0; ka < a_idx.size(); ++ka) {
-    const double av = a_val[ka];
-    const auto b_idx = b.RowIndices(a_idx[ka]);
-    const auto b_val = b.RowValues(a_idx[ka]);
-    for (size_t t = 0; t < b_idx.size(); ++t) {
-      pairs.emplace_back(b_idx[t], av * b_val[t]);
-    }
-  }
-  std::stable_sort(
-      pairs.begin(), pairs.end(),
-      [](const std::pair<int64_t, double>& x,
-         const std::pair<int64_t, double>& y) { return x.first < y.first; });
-  int64_t written = 0;
-  size_t t = 0;
-  while (t < pairs.size()) {
-    const int64_t col = pairs[t].first;
-    double v = 0.0;
-    for (; t < pairs.size() && pairs[t].first == col; ++t) v += pairs[t].second;
-    if (v != 0.0) {
-      if (written == cap) return -1;
-      out_idx[written] = col;
-      out_val[written] = v;
-      ++written;
-    }
-  }
-  return written;
-}
-
-// FLOP count (= pattern contributions) of output row i — the exact guard
-// for the merge-accumulator choice, O(nnz(A_i)).
-int64_t RowFlops(const CsrMatrix& a, const CsrMatrix& b, int64_t i) {
-  int64_t flops = 0;
-  for (int64_t k : a.RowIndices(i)) flops += b.RowNnz(k);
-  return flops;
-}
-
-}  // namespace
 
 CsrMatrix MultiplySparseSparseGuided(
     const CsrMatrix& a, const CsrMatrix& b,
@@ -344,98 +283,31 @@ CsrMatrix MultiplySparseSparseGuided(
   GuidedExecStats local;
   local.guided_products = 1;
 
-  // Merge-accumulator choice: triggered by the *estimated* row population
-  // (the bound when no estimate is supplied), guarded by the exact FLOP
-  // count so a badly colliding row cannot make the merge sort expensive.
-  const int64_t merge_max = opts.merge_accum_max_nnz;
-  auto use_merge = [&](int64_t i, int64_t flops) {
-    const double est = row_estimate.empty()
-                           ? static_cast<double>(row_upper[static_cast<size_t>(i)])
-                           : row_estimate[static_cast<size_t>(i)];
-    return est <= static_cast<double>(merge_max) && flops <= 8 * merge_max;
-  };
-  std::atomic<int64_t> merge_rows{0};
-  std::atomic<int64_t> scatter_rows{0};
-
-  const bool parallel = config.enabled() && pool != nullptr;
-  if (!parallel) {
+  if (!config.enabled() || pool == nullptr) {
     // Sequential: the bounds become the pre-allocation hint (capped by the
-    // estimate total when available — bounds can grossly over-reserve on
-    // hub-heavy inputs) and rows append with per-row accumulator dispatch.
-    int64_t ub_total = 0;
-    for (int64_t ub : row_upper) ub_total += ub;
-    int64_t hint = ub_total;
+    // estimate total when available, since bounds can grossly over-reserve
+    // on hub-heavy inputs) and rows append in order.
+    int64_t hint = 0;
+    for (int64_t ub : row_upper) hint += ub;
     if (!row_estimate.empty()) {
       double est_total = 0.0;
       for (double e : row_estimate) est_total += e;
       hint = std::min(hint, static_cast<int64_t>(est_total) + 1);
     }
     hint = std::min(hint, m * l);
-
-    std::vector<int64_t> row_ptr(static_cast<size_t>(m) + 1, 0);
-    std::vector<int64_t> col_idx;
-    std::vector<double> values;
-    col_idx.reserve(static_cast<size_t>(hint));
-    values.reserve(static_cast<size_t>(hint));
-
-    ScratchPool::Lease lease = ScratchPool::Global().Acquire();
-    lease->EnsureScatterCols(l);
-    double* acc = lease->scatter_acc();
-    char* seen = lease->scatter_seen();
-    std::vector<int64_t>& occupied = lease->scatter_list();
-    std::vector<std::pair<int64_t, double>>& pairs = lease->merge_pairs();
-
-    for (int64_t i = 0; i < m; ++i) {
-      const int64_t flops = RowFlops(a, b, i);
-      const size_t base = col_idx.size();
-      int64_t written = 0;
-      if (use_merge(i, flops)) {
-        merge_rows.fetch_add(1, std::memory_order_relaxed);
-        col_idx.resize(base + static_cast<size_t>(flops));
-        values.resize(base + static_cast<size_t>(flops));
-        written = SpGemmMergeRow(a, b, i, pairs, col_idx.data() + base,
-                                 values.data() + base, flops);
-      } else {
-        scatter_rows.fetch_add(1, std::memory_order_relaxed);
-        const auto a_idx = a.RowIndices(i);
-        const auto a_val = a.RowValues(i);
-        for (size_t ka = 0; ka < a_idx.size(); ++ka) {
-          const auto b_idx = b.RowIndices(a_idx[ka]);
-          const auto b_val = b.RowValues(a_idx[ka]);
-          kernels::SpGemmScatterRow(b_idx.data(), b_val.data(),
-                                    static_cast<int64_t>(b_idx.size()),
-                                    a_val[ka], acc, seen, occupied);
-        }
-        col_idx.resize(base + occupied.size());
-        values.resize(base + occupied.size());
-        written = kernels::SpGemmGatherRow(occupied, acc, seen,
-                                           col_idx.data() + base,
-                                           values.data() + base);
-      }
-      col_idx.resize(base + static_cast<size_t>(written));
-      values.resize(base + static_cast<size_t>(written));
-      row_ptr[static_cast<size_t>(i) + 1] =
-          static_cast<int64_t>(col_idx.size());
-    }
+    CsrMatrix result = SequentialProduct(a, b, hint);
     local.single_pass = 1;
-    local.merge_rows = merge_rows.load(std::memory_order_relaxed);
-    local.scatter_rows = scatter_rows.load(std::memory_order_relaxed);
+    local.scatter_rows = m;
     local.guided_reserve_bytes = 16 * hint;
-    local.blind_reserve_bytes =
-        BlindReserveBytesModel(static_cast<int64_t>(col_idx.size()));
+    local.blind_reserve_bytes = BlindReserveBytesModel(result.NumNonZeros());
     if (stats != nullptr) stats->MergeFrom(local);
-    return CsrMatrix(m, l, std::move(row_ptr), std::move(col_idx),
-                     std::move(values));
+    return result;
   }
 
-  // Parallel: single-pass fill into bound-sized slices — the symbolic pass
+  // Parallel: single-pass fill into bound-sized slices; the symbolic pass
   // of the two-pass kernel is exactly what the sketch bounds replace.
-  std::vector<int64_t> scan(static_cast<size_t>(m) + 1, 0);
-  for (int64_t i = 0; i < m; ++i) {
-    scan[static_cast<size_t>(i) + 1] =
-        scan[static_cast<size_t>(i)] + row_upper[static_cast<size_t>(i)];
-  }
-  const int64_t slice_total = scan[static_cast<size_t>(m)];
+  const std::vector<int64_t> scan = ExclusiveScan(row_upper);
+  const int64_t slice_total = scan.back();
   if (16 * slice_total > opts.single_pass_budget_bytes) {
     CsrMatrix result = MultiplySparseSparse(a, b, config, pool);
     local.two_pass_fallbacks = 1;
@@ -445,107 +317,24 @@ CsrMatrix MultiplySparseSparseGuided(
     return result;
   }
 
-  std::vector<int64_t> col_idx(static_cast<size_t>(slice_total));
-  std::vector<double> values(static_cast<size_t>(slice_total));
-  std::vector<int64_t> row_nnz(static_cast<size_t>(m), 0);
-  std::atomic<bool> overflow{false};
-
-  ParallelForBlocks(pool, config, m,
-                    [&](int64_t /*block*/, int64_t lo, int64_t hi) {
-    ScratchPool::Lease lease = ScratchPool::Global().Acquire();
-    lease->EnsureScatterCols(l);
-    double* acc = lease->scatter_acc();
-    char* seen = lease->scatter_seen();
-    std::vector<int64_t>& occupied = lease->scatter_list();
-    std::vector<std::pair<int64_t, double>>& pairs = lease->merge_pairs();
-    int64_t block_merge = 0;
-    int64_t block_scatter = 0;
-    for (int64_t i = lo; i < hi; ++i) {
-      // The result is discarded on overflow, so later rows may bail early.
-      if (overflow.load(std::memory_order_relaxed)) break;
-      const int64_t base = scan[static_cast<size_t>(i)];
-      const int64_t cap = scan[static_cast<size_t>(i) + 1] - base;
-      const int64_t flops = RowFlops(a, b, i);
-      if (use_merge(i, flops)) {
-        ++block_merge;
-        const int64_t written =
-            SpGemmMergeRow(a, b, i, pairs, col_idx.data() + base,
-                           values.data() + base, cap);
-        if (written < 0) {
-          overflow.store(true, std::memory_order_relaxed);
-          break;
-        }
-        row_nnz[static_cast<size_t>(i)] = written;
-      } else {
-        ++block_scatter;
-        const auto a_idx = a.RowIndices(i);
-        const auto a_val = a.RowValues(i);
-        for (size_t ka = 0; ka < a_idx.size(); ++ka) {
-          const auto b_idx = b.RowIndices(a_idx[ka]);
-          const auto b_val = b.RowValues(a_idx[ka]);
-          kernels::SpGemmScatterRow(b_idx.data(), b_val.data(),
-                                    static_cast<int64_t>(b_idx.size()),
-                                    a_val[ka], acc, seen, occupied);
-        }
-        if (static_cast<int64_t>(occupied.size()) > cap) {
-          // Pattern outgrew the (estimated) bound. Restore the clean-buffer
-          // invariant before abandoning the pass.
-          for (int64_t j : occupied) {
-            acc[static_cast<size_t>(j)] = 0.0;
-            seen[static_cast<size_t>(j)] = 0;
-          }
-          occupied.clear();
-          overflow.store(true, std::memory_order_relaxed);
-          break;
-        }
-        row_nnz[static_cast<size_t>(i)] = kernels::SpGemmGatherRow(
-            occupied, acc, seen, col_idx.data() + base, values.data() + base);
-      }
-    }
-    merge_rows.fetch_add(block_merge, std::memory_order_relaxed);
-    scatter_rows.fetch_add(block_scatter, std::memory_order_relaxed);
-  });
-
-  if (overflow.load(std::memory_order_relaxed)) {
+  std::optional<CsrMatrix> result =
+      FillSlices(a, b, scan, /*checked=*/true, config, pool);
+  if (!result) {
     // A bound from a propagated sketch was violated; the two-pass kernel
     // recomputes with exact sizing (bit-identical result).
-    CsrMatrix result = MultiplySparseSparse(a, b, config, pool);
+    result = MultiplySparseSparse(a, b, config, pool);
     local.overflow_fallbacks = 1;
-    local.guided_reserve_bytes =
-        16 * slice_total + 16 * result.NumNonZeros();
-    local.blind_reserve_bytes = 16 * result.NumNonZeros();
+    local.guided_reserve_bytes = 16 * slice_total + 16 * result->NumNonZeros();
+    local.blind_reserve_bytes = 16 * result->NumNonZeros();
     if (stats != nullptr) stats->MergeFrom(local);
-    return result;
-  }
-
-  // Compaction, exactly as in the two-pass kernel.
-  std::vector<int64_t> row_ptr(static_cast<size_t>(m) + 1, 0);
-  for (int64_t i = 0; i < m; ++i) {
-    row_ptr[static_cast<size_t>(i) + 1] =
-        row_ptr[static_cast<size_t>(i)] + row_nnz[static_cast<size_t>(i)];
-  }
-  const int64_t total = row_ptr[static_cast<size_t>(m)];
-  if (total != slice_total) {
-    std::vector<int64_t> packed_idx(static_cast<size_t>(total));
-    std::vector<double> packed_val(static_cast<size_t>(total));
-    for (int64_t i = 0; i < m; ++i) {
-      const int64_t src = scan[static_cast<size_t>(i)];
-      const int64_t dst = row_ptr[static_cast<size_t>(i)];
-      const int64_t cnt = row_nnz[static_cast<size_t>(i)];
-      std::copy_n(col_idx.begin() + src, cnt, packed_idx.begin() + dst);
-      std::copy_n(values.begin() + src, cnt, packed_val.begin() + dst);
-    }
-    col_idx = std::move(packed_idx);
-    values = std::move(packed_val);
+    return std::move(*result);
   }
   local.single_pass = 1;
-  local.merge_rows = merge_rows.load(std::memory_order_relaxed);
-  local.scatter_rows = scatter_rows.load(std::memory_order_relaxed);
+  local.scatter_rows = m;
   local.guided_reserve_bytes = 16 * slice_total;
-  local.blind_reserve_bytes = BlindReserveBytesModel(total);
+  local.blind_reserve_bytes = BlindReserveBytesModel(result->NumNonZeros());
   if (stats != nullptr) stats->MergeFrom(local);
-  return CsrMatrix(m, l, std::move(row_ptr), std::move(col_idx),
-                   std::move(values));
+  return std::move(*result);
 }
 
 DenseMatrix MultiplySparseSparseDense(const CsrMatrix& a, const CsrMatrix& b,
@@ -603,34 +392,14 @@ Matrix Multiply(const Matrix& a, const Matrix& b, ThreadPool* pool,
 }
 
 int64_t ProductNnzExact(const CsrMatrix& a, const CsrMatrix& b) {
-  MNC_CHECK_EQ(a.cols(), b.rows());
-  const int64_t m = a.rows();
-  const int64_t l = b.cols();
-  int64_t nnz = 0;
-  ScratchPool::Lease lease = ScratchPool::Global().Acquire();
-  lease->EnsureScatterCols(l);
-  char* seen = lease->scatter_seen();
-  std::vector<int64_t>& occupied = lease->scatter_list();
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t k : a.RowIndices(i)) {
-      const auto b_idx = b.RowIndices(k);
-      kernels::SpGemmSymbolicRow(b_idx.data(),
-                                 static_cast<int64_t>(b_idx.size()), seen,
-                                 occupied);
-    }
-    nnz += kernels::SpGemmResetSymbolicRow(occupied, seen);
-  }
-  return nnz;
+  return ProductNnzExact(a, b, ParallelConfig{}, nullptr);
 }
 
 int64_t ProductNnzExact(const CsrMatrix& a, const CsrMatrix& b,
                         const ParallelConfig& config, ThreadPool* pool) {
   MNC_CHECK_EQ(a.cols(), b.rows());
-  if (!config.enabled() || pool == nullptr) return ProductNnzExact(a, b);
-  std::vector<int64_t> row_nnz;
-  SymbolicRowCounts(a, b, config, pool, row_nnz);
   int64_t nnz = 0;
-  for (int64_t c : row_nnz) nnz += c;
+  for (int64_t c : SymbolicRowCounts(a, b, config, pool)) nnz += c;
   return nnz;
 }
 

@@ -24,9 +24,9 @@ CsrMatrix MultiplySparseSparse(const CsrMatrix& a, const CsrMatrix& b,
 // Parallel two-pass Gustavson SpGEMM behind the ParallelConfig knob: a
 // symbolic pass counts each output row's non-zeros, an exclusive scan over
 // the counts builds row_ptr, and a fill pass writes every row block into its
-// disjoint output slice. Each row accumulates in the same scatter/sort
-// order as the sequential kernel, so the result equals MultiplySparseSparse
-// bit-for-bit at any thread count.
+// disjoint output slice. Each row accumulates and gathers exactly as in the
+// sequential kernel, so the result equals MultiplySparseSparse bit-for-bit
+// at any thread count.
 CsrMatrix MultiplySparseSparse(const CsrMatrix& a, const CsrMatrix& b,
                                const ParallelConfig& config, ThreadPool* pool);
 
@@ -44,8 +44,8 @@ DenseMatrix MultiplyDenseSparse(const DenseMatrix& a, const CsrMatrix& b);
 // ---- Sketch-guided execution --------------------------------------------
 //
 // The kernels below let an MNC-sketch-informed caller (the guided
-// Evaluator, see mnc/ir/evaluator.h) choose allocation strategy, output
-// format and per-row accumulator *before* computing. Estimates never change
+// Evaluator, see mnc/ir/evaluator.h) choose allocation strategy, pass
+// structure and output format *before* computing. Estimates never change
 // values: every guided kernel accumulates each output cell in the same
 // ascending-k order as the blind kernels above, so results are bit-identical
 // to the blind path — wrong estimates only cost performance (or trigger the
@@ -58,8 +58,7 @@ struct GuidedExecStats {
   int64_t two_pass_fallbacks = 0;  // slices over budget -> two-pass kernel
   int64_t overflow_fallbacks = 0;  // a row outgrew its slice -> recompute
   int64_t dense_direct = 0;        // written straight into a DenseMatrix
-  int64_t merge_rows = 0;          // rows on the sorted-merge accumulator
-  int64_t scatter_rows = 0;        // rows on the dense scatter accumulator
+  int64_t scatter_rows = 0;        // rows through the CSR row accumulator
   // Output staging actually reserved by the guided kernels vs. the modeled
   // allocation of the blind path for the same products (see
   // BlindReserveBytesModel). The difference is the "bytes saved" figure in
@@ -76,10 +75,6 @@ struct GuidedProductOptions {
   // it, the exact sizing of the two-pass kernel wins and the guided product
   // falls back to it.
   int64_t single_pass_budget_bytes = 64LL << 20;  // 64 MB
-  // Rows whose estimated output population is at or below this use the
-  // sorted small-row merge accumulator instead of touching the O(cols)
-  // scatter accumulator.
-  int64_t merge_accum_max_nnz = 32;
 };
 
 // Modeled output allocation of the blind (unhinted, sequential) SpGEMM for
@@ -90,8 +85,8 @@ int64_t BlindReserveBytesModel(int64_t nnz);
 
 // Sketch-guided Gustavson SpGEMM. row_upper[i] bounds output row i's
 // pattern count (EstimateProductRows upper bounds); row_estimate (optional,
-// may be empty) carries the per-row estimates that drive the accumulator
-// choice. With an enabled config + pool this runs a SINGLE-PASS parallel
+// may be empty) carries the per-row estimates that cap the sequential
+// reserve hint. With an enabled config + pool this runs a SINGLE-PASS parallel
 // variant: output slices are sized by the bounds (no symbolic pass), rows
 // fill their slices in parallel, and the slices are compacted exactly like
 // the two-pass kernel's. Bounds from propagated (estimated) sketches are
@@ -99,8 +94,9 @@ int64_t BlindReserveBytesModel(int64_t nnz);
 // fill and recomputes via the two-pass kernel (overflow_fallbacks);
 // slices past the byte budget skip straight to the two-pass kernel
 // (two_pass_fallbacks). Sequentially the bounds become a reserve hint and
-// rows append with the same per-row accumulator dispatch. All paths return
-// the blind kernels' result bit-for-bit.
+// rows append in order. Every path runs the same row accumulator
+// (kernels::SpGemmRowAccumulator) and returns the blind kernels' result
+// bit-for-bit.
 CsrMatrix MultiplySparseSparseGuided(
     const CsrMatrix& a, const CsrMatrix& b,
     const std::vector<int64_t>& row_upper,

@@ -285,8 +285,8 @@ CommandOutcome RunServeCommand(EstimationService& service,
                static_cast<long long>(s.memo.poisoned_dropped)) +
         Format("exec: %lld executions, %lld guided products, "
                "%lld single-pass, %lld dense-direct, %lld fallbacks "
-               "(%lld budget, %lld overflow), %lld merge rows, "
-               "%lld scatter rows, %lld bytes saved vs blind reserve",
+               "(%lld budget, %lld overflow), %lld scatter rows, "
+               "%lld bytes saved vs blind reserve",
                static_cast<long long>(s.executions),
                static_cast<long long>(s.guided.guided_products),
                static_cast<long long>(s.guided.single_pass),
@@ -295,7 +295,6 @@ CommandOutcome RunServeCommand(EstimationService& service,
                                       s.guided.overflow_fallbacks),
                static_cast<long long>(s.guided.two_pass_fallbacks),
                static_cast<long long>(s.guided.overflow_fallbacks),
-               static_cast<long long>(s.guided.merge_rows),
                static_cast<long long>(s.guided.scatter_rows),
                static_cast<long long>(s.guided.blind_reserve_bytes -
                                       s.guided.guided_reserve_bytes)) +

@@ -122,10 +122,9 @@ struct EstimationServiceOptions {
   int64_t ingest_chunk_entries = int64_t{1} << 16;
 
   // Sketch-guided execution for Execute/ExecuteSource: products are
-  // pre-sized, format-dispatched and accumulator-dispatched from cataloged/
-  // propagated sketches (see mnc/ir/evaluator.h). Values are bit-identical
-  // with the flag on or off; only performance and the guided counters in
-  // ServiceStats change.
+  // pre-sized and format-dispatched from cataloged/propagated sketches (see
+  // mnc/ir/evaluator.h). Values are bit-identical with the flag on or off;
+  // only performance and the guided counters in ServiceStats change.
   bool guided_exec = false;
 
   // Machine calibration profile (mnc/tuning/machine_profile.h, produced by

@@ -1,7 +1,7 @@
 // Reusable scratch memory for the row-wise hot paths.
 //
 // The Gustavson SpGEMM passes and the parallel density-map combine each need
-// per-worker scratch (a dense accumulator, an occupancy map, staging
+// per-worker scratch (a dense accumulator, an occupancy bitmap, staging
 // vectors). Before this layer every parallel block allocated and
 // zero-initialized its own copies — O(cols) work per block that dwarfs the
 // useful work for narrow blocks. A ScratchArena owns those buffers and is
@@ -9,12 +9,14 @@
 // concurrent workers so a w-thread SpGEMM allocates at most w arenas per
 // process lifetime, not one per block.
 //
-// Clean-buffer invariant: scatter_acc()/scatter_seen() are all-zero whenever
-// the arena is at rest. The SpGemm*Row kernels (mnc/kernels/kernels.h)
-// preserve this by re-zeroing exactly the entries they touched during their
-// gather/reset step, so EnsureScatterCols() only pays a zero-fill when the
-// buffers actually grow. Code that touches these buffers outside the kernel
-// helpers must restore the invariant before the arena goes back to the pool.
+// Clean-buffer invariant: scatter_acc() and scatter_bits() are all-zero
+// whenever the arena is at rest, and scatter_list() is empty. The SpGEMM
+// row accumulator (kernels::SpGemmRowAccumulator in mnc/kernels/kernels.h)
+// preserves this: every gather or reset clears exactly the bitmap words and
+// accumulator entries its row touched, so EnsureScatterCols() only pays a
+// zero-fill when the buffers actually grow. Code that touches these buffers
+// outside the accumulator must restore the invariant before the arena goes
+// back to the pool.
 //
 // Exception safety: a Lease returned while an exception is unwinding
 // *discards* its arena instead of recycling it — a throw mid-row leaves the
@@ -41,17 +43,18 @@ class ScratchArena {
     const size_t n = static_cast<size_t>(cols);
     if (scatter_acc_.size() < n) {
       scatter_acc_.resize(n, 0.0);
-      scatter_seen_.resize(n, 0);
+      scatter_bits_.resize((n + 63) / 64, 0);
     }
   }
 
-  // Dense value accumulator / occupancy map over the column space. All-zero
-  // on acquisition (see the clean-buffer invariant above).
+  // Dense value accumulator and occupancy bitmap (bit j of word j / 64 set
+  // when column j was touched) over the column space. All-zero on
+  // acquisition (see the clean-buffer invariant above).
   double* scatter_acc() { return scatter_acc_.data(); }
-  char* scatter_seen() { return scatter_seen_.data(); }
+  uint64_t* scatter_bits() { return scatter_bits_.data(); }
 
-  // Touched-column list for the current row; empty between rows, capacity
-  // retained.
+  // Touched-column list for rows whose bitmap span is too sparse to walk;
+  // empty between rows, capacity retained.
   std::vector<int64_t>& scatter_list() { return scatter_list_; }
 
   // General staging vectors (per-block partials, Eq. 11/15 estimate
@@ -86,22 +89,15 @@ class ScratchArena {
     return stage_ones_.data();
   }
 
-  // (column, value) staging for the sorted-merge SpGEMM accumulator;
-  // cleared per row, capacity retained across rows and leases.
-  std::vector<std::pair<int64_t, double>>& merge_pairs() {
-    return merge_pairs_;
-  }
-
  private:
   std::vector<double> scatter_acc_;
-  std::vector<char> scatter_seen_;
+  std::vector<uint64_t> scatter_bits_;
   std::vector<int64_t> scatter_list_;
   std::vector<double> stage_doubles_;
   std::vector<char> stage_bytes_;
   std::vector<int64_t> stage_ints_;
   std::vector<int64_t> stage_ints2_;
   std::vector<int64_t> stage_ones_;
-  std::vector<std::pair<int64_t, double>> merge_pairs_;
 };
 
 // A mutex-guarded free list of arenas. Acquire() pops a recycled arena (or

@@ -417,13 +417,10 @@ TEST_P(DifferentialHarnessTest, GuidedEvaluationBitIdenticalToBlind) {
     }
   }
 
-  // Degenerate knobs force the fallback and accumulator edges: a zero
-  // single-pass budget always falls back to the two-pass kernel, and a huge
-  // merge threshold routes every row through the sorted-merge accumulator.
-  // Values must not move.
+  // A zero single-pass budget forces every product onto the two-pass
+  // fallback. Values must not move.
   EvaluatorOptions stress = guided;
   stress.single_pass_budget_bytes = 0;
-  stress.merge_accum_max_nnz = 1 << 20;
   const ExprPtr chain = ExprNode::MatMul(ExprNode::MatMul(a, b), c);
   ThreadPool pool(4);
   Evaluator blind(&pool);

@@ -90,6 +90,42 @@ TEST(IoTest, RejectsOutOfRangeIndices) {
       << m.status().ToString();
 }
 
+// Entry fields parse as `std::istream >> value` would: a leading '+',
+// trailing junk after the last field and an underflowing value are
+// accepted; inf/nan spellings, a bare exponent marker, an overflowing value
+// and an overflowing index are rejected with the same typed errors.
+TEST(IoTest, EntryFieldsParseLikeStreamExtraction) {
+  auto read = [](const std::string& entry) {
+    std::stringstream ss("%%MatrixMarket matrix coordinate real general\n"
+                         "3 3 1\n" +
+                         entry + "\n");
+    return ReadMatrixMarket(ss);
+  };
+  for (const char* ok : {"+1 +2 +.5", "1\t2\r0.5", "1 2 0.5abc", "1 2 5e-1x",
+                         "1 2 1e-400"}) {
+    EXPECT_TRUE(read(ok).ok()) << ok << ": " << read(ok).status().ToString();
+  }
+  EXPECT_EQ(read("+1 +2 +.5")->At(0, 1), 0.5);
+  EXPECT_EQ(read("1 2 1e-400")->NumNonZeros(), 0);  // underflows to 0.0
+  for (const char* bad : {"1 2 inf", "1 2 nan", "1 2 3.0e", "1 2 1e+",
+                          "1 2 1e400", "1 2 +-5", "1 2"}) {
+    const auto m = read(bad);
+    ASSERT_FALSE(m.ok()) << bad;
+    EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(m.status().message().find("missing its value"),
+              std::string::npos)
+        << m.status().ToString();
+  }
+  for (const char* bad :
+       {"99999999999999999999 1 1.0", "1.5 2 1.0", "x y z"}) {
+    const auto m = read(bad);
+    ASSERT_FALSE(m.ok()) << bad;
+    EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(m.status().message().find("malformed entry"), std::string::npos)
+        << m.status().ToString();
+  }
+}
+
 TEST(IoTest, RejectsTruncatedEntries) {
   std::stringstream ss(
       "%%MatrixMarket matrix coordinate real general\n"

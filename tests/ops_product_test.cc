@@ -1,5 +1,9 @@
 #include "mnc/matrix/ops_product.h"
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "mnc/core/mnc_sketch.h"
@@ -228,37 +232,104 @@ TEST(GuidedProductTest, ZeroBudgetFallsBackToTwoPass) {
   EXPECT_EQ(stats.single_pass, 0);
 }
 
-TEST(GuidedProductTest, MergeAccumulatorBitIdenticalToScatter) {
-  Rng rng(19);
-  const CsrMatrix a = GenerateUniformSparse(64, 64, 0.06, rng);
-  const CsrMatrix b = GenerateUniformSparse(64, 64, 0.06, rng);
-  const CsrMatrix blind = MultiplySparseSparse(a, b);
-  std::vector<int64_t> upper;
-  std::vector<double> estimate;
-  RowHints(a, b, &upper, &estimate);
+// Row-by-row reference product through std::map, summing in the kernels'
+// ascending-k order so values are comparable bit for bit.
+CsrMatrix MapProduct(const CsrMatrix& a, const CsrMatrix& b) {
+  std::vector<int64_t> row_ptr{0};
+  std::vector<int64_t> col_idx;
+  std::vector<double> values;
+  for (int64_t i = 0; i < a.rows(); ++i) {
+    std::map<int64_t, double> row;
+    const auto a_idx = a.RowIndices(i);
+    const auto a_val = a.RowValues(i);
+    for (size_t ka = 0; ka < a_idx.size(); ++ka) {
+      const auto b_idx = b.RowIndices(a_idx[ka]);
+      const auto b_val = b.RowValues(a_idx[ka]);
+      for (size_t t = 0; t < b_idx.size(); ++t) {
+        row[b_idx[t]] += a_val[ka] * b_val[t];
+      }
+    }
+    for (const auto& [j, v] : row) {
+      if (v == 0.0) continue;
+      col_idx.push_back(j);
+      values.push_back(v);
+    }
+    row_ptr.push_back(static_cast<int64_t>(col_idx.size()));
+  }
+  return CsrMatrix(a.rows(), b.cols(), std::move(row_ptr), std::move(col_idx),
+                   std::move(values));
+}
 
-  // Route everything through the sorted-merge accumulator, then everything
-  // through the scatter accumulator (a negative threshold excludes even
-  // empty rows, whose estimate is 0); both must equal the blind kernel.
-  for (int64_t merge_max : {int64_t{1} << 20, int64_t{-1}}) {
-    GuidedProductOptions opts;
-    opts.merge_accum_max_nnz = merge_max;
+TEST(GuidedProductTest, BothGatherOrdersBitIdenticalToBlind) {
+  // Narrow: 60 columns are one bitmap word, so every non-empty row gathers
+  // by walking the bitmap. Wide: every row of wide_b touches a column
+  // below 8 and one at or above 2^14 - 8, a span of 256 words, while a row
+  // of wide_a (at most 6 entries) contributes at most 18 columns, so 256 >
+  // kSparseSpanWordsPerFlop * 18 and every row gathers from the sorted
+  // touched list. Rows 0 and 1 of wide_b share column 0 with equal values
+  // and wide_a's row 0 weighs them 2 and -2, so that column cancels to 0.0.
+  Rng rng(19);
+  const CsrMatrix narrow_a = GenerateUniformSparse(64, 64, 0.2, rng);
+  const CsrMatrix narrow_b = GenerateUniformSparse(64, 60, 0.2, rng);
+
+  const int64_t wide = int64_t{1} << 14;
+  std::vector<int64_t> b_ptr{0};
+  std::vector<int64_t> b_idx;
+  std::vector<double> b_val;
+  for (int64_t k = 0; k < 40; ++k) {
+    const int64_t mid = 8 + (k * 977) % (wide - 16);
+    for (int64_t j : {k < 2 ? int64_t{0} : k % 8, mid, wide - 1 - k % 8}) {
+      b_idx.push_back(j);
+      b_val.push_back(k < 2 ? 1.0 : 0.5 + static_cast<double>(k) / 3.0);
+    }
+    b_ptr.push_back(static_cast<int64_t>(b_idx.size()));
+  }
+  const CsrMatrix wide_b(40, wide, std::move(b_ptr), std::move(b_idx),
+                         std::move(b_val));
+  CsrMatrix wide_a = GenerateUniformSparse(48, 40, 0.1, rng);
+  {
+    // Keep at most 6 entries per row and force the cancelling row 0.
+    std::vector<int64_t> ptr{0, 2};
+    std::vector<int64_t> idx{0, 1};
+    std::vector<double> val{2.0, -2.0};
+    for (int64_t i = 1; i < wide_a.rows(); ++i) {
+      const auto ri = wide_a.RowIndices(i);
+      const auto rv = wide_a.RowValues(i);
+      for (size_t t = 0; t < ri.size() && t < 6; ++t) {
+        idx.push_back(ri[t]);
+        val.push_back(rv[t]);
+      }
+      ptr.push_back(static_cast<int64_t>(idx.size()));
+    }
+    wide_a = CsrMatrix(48, 40, std::move(ptr), std::move(idx),
+                       std::move(val));
+  }
+
+  const std::pair<const CsrMatrix*, const CsrMatrix*> cases[] = {
+      {&narrow_a, &narrow_b}, {&wide_a, &wide_b}};
+  for (const auto& [a, b] : cases) {
+    const CsrMatrix blind = MultiplySparseSparse(*a, *b);
+    ASSERT_TRUE(blind.Equals(MapProduct(*a, *b))) << "cols=" << b->cols();
+    std::vector<int64_t> upper;
+    std::vector<double> estimate;
+    RowHints(*a, *b, &upper, &estimate);
     for (int threads : {1, 4}) {
       ThreadPool pool(threads);
       GuidedExecStats stats;
-      EXPECT_TRUE(MultiplySparseSparseGuided(a, b, upper, estimate, opts,
-                                             GuidedTestConfig(threads), &pool,
-                                             &stats)
+      EXPECT_TRUE(MultiplySparseSparseGuided(
+                      *a, *b, upper, estimate, GuidedProductOptions{},
+                      GuidedTestConfig(threads), &pool, &stats)
                       .Equals(blind))
-          << "merge_max=" << merge_max << " threads=" << threads;
-      if (merge_max > 0) {
-        EXPECT_GT(stats.merge_rows, 0) << "threads=" << threads;
-        EXPECT_EQ(stats.scatter_rows, 0) << "threads=" << threads;
-      } else {
-        EXPECT_EQ(stats.merge_rows, 0) << "threads=" << threads;
-        EXPECT_GT(stats.scatter_rows, 0) << "threads=" << threads;
-      }
+          << "cols=" << b->cols() << " threads=" << threads;
+      EXPECT_EQ(stats.single_pass, 1) << "threads=" << threads;
+      EXPECT_EQ(stats.scatter_rows, a->rows()) << "threads=" << threads;
+      EXPECT_TRUE(MultiplySparseSparse(*a, *b, GuidedTestConfig(threads),
+                                       &pool)
+                      .Equals(blind))
+          << "two-pass cols=" << b->cols() << " threads=" << threads;
     }
+    EXPECT_EQ(ProductNnzExact(*a, *b),
+              ProductNnzExact(*a, *b, GuidedTestConfig(4), nullptr));
   }
 }
 
