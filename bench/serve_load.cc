@@ -6,26 +6,18 @@
 //   --dim <n>              registered matrix dimension (default 256)
 //   --sparsity <f>         registered matrix sparsity (default 0.01)
 //   --workers <n>          server worker threads (default 4)
-//   --reps <n>             repetitions of the concurrent legs; throughput
-//                          and percentiles come from each leg's best rep
-//                          (noise guard on small/shared machines), errors
-//                          and replies accumulate across all reps
-//                          (default 1)
-//   --batch-window-us <us> coalescing window for the batched leg (default
-//                          200)
+//   --reps <n>             repetitions of the concurrent phase; throughput
+//                          and percentiles come from the best rep (noise
+//                          guard on small/shared machines), errors
+//                          accumulate across all reps (default 1)
 //   --json                 also write BENCH_serve.json
 //   --check                exit non-zero unless the robustness/perf gates
 //                          hold
-//   --check-batched        exit non-zero unless the cross-request batching
-//                          gates hold
 //
-// Phases (one shared EstimationService; the memo is warmed first so every
-// phase measures the steady serving state):
-//   1. single-client baseline: one connection, sequential requests
-//      (unbatched server);
-//   2. concurrent unbatched: --clients connections, batch_window_us = 0;
-//   3. concurrent batched: the same workload against a second server with
-//      batch_window_us > 0, replies captured for the cross-check.
+// Phases (one server over one EstimationService; the memo is warmed first
+// so every phase measures the steady serving state):
+//   1. single-client baseline: one connection, sequential requests;
+//   2. concurrent: --clients connections.
 //
 // --check gates (machine-adaptive, CI-safe):
 //   - zero request errors and zero transport errors in both phases;
@@ -34,21 +26,10 @@
 //     it improves it, the low bar only guards pathological serialization);
 //   - p99 latency <= max(10 ms, 50x p50): no stragglers orders of
 //     magnitude beyond the median, i.e. no lost/odd-ball requests.
-//
-// --check-batched gates:
-//   - zero errors and full resolution in the batched leg;
-//   - coalescing engaged (server dispatched at least one multi-request
-//     batch);
-//   - batched concurrent QPS >= 1.3x the unbatched concurrent QPS;
-//   - every batched reply byte-identical to its unbatched counterpart for
-//     the same query (bodies compared with the wall-clock timing suffix
-//     stripped — it is the one legitimately nondeterministic field).
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstdio>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,8 +52,7 @@ double Percentile(std::vector<double>& sorted_ms, double p) {
 // The steady request mix: memo-friendly repeats of chain expressions, like
 // a real serving tier sitting in front of an optimizer (the paper's
 // matrix-chain workloads). Nontrivial DAGs make the per-request service
-// work (parse, canonical hash, memo traversal) measurable, which is
-// exactly what cross-request coalescing amortizes.
+// work (parse, canonical hash, memo traversal) measurable.
 const char* kQueries[] = {
     "estimate (A %*% B) %*% (A + B) %*% t(A) %*% (B %*% A) %*% (A * B)",
     "estimate t(B) %*% (A %*% B) %*% (B + A) %*% (A %*% A) %*% t(A %*% B)",
@@ -81,40 +61,21 @@ const char* kQueries[] = {
 };
 constexpr int kNumQueries = 4;
 
-// All distinct reply texts observed for each query, normalized for the
-// byte-identity cross-check between the unbatched and batched legs.
-using ReplySets = std::array<std::set<std::string>, kNumQueries>;
-
 struct PhaseResult {
   double qps = 0.0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   int64_t ok = 0;
   int64_t errors = 0;  // typed command errors + transport errors
-  ReplySets replies;   // normalized reply texts per query
 };
 
-// Strips the trailing wall-clock timing (", %.3f ms") from an estimate
-// reply body — the one field that legitimately differs between runs — so
-// the remaining bytes must match exactly. Non-matching bodies (errors,
-// other verbs) pass through unchanged.
-std::string NormalizeBody(const std::string& body) {
-  if (body.size() >= 4 && body.compare(body.size() - 4, 4, " ms)") == 0) {
-    const size_t comma = body.find_last_of(',');
-    if (comma != std::string::npos) return body.substr(0, comma) + ")";
-  }
-  return body;
-}
-
-// Folds one repetition into the accumulated leg result: counts and observed
-// replies accumulate, timing comes from the best (highest-throughput) rep —
+// Folds one repetition into the accumulated result: counts accumulate,
+// timing comes from the best (highest-throughput) rep —
 // the same noise guard the other machine-adaptive gates use on small
 // shared runners.
 void FoldRep(PhaseResult& best, const PhaseResult& rep) {
   best.ok += rep.ok;
   best.errors += rep.errors;
-  for (int qi = 0; qi < kNumQueries; ++qi)
-    best.replies[qi].insert(rep.replies[qi].begin(), rep.replies[qi].end());
   if (rep.qps > best.qps) {
     best.qps = rep.qps;
     best.p50_ms = rep.p50_ms;
@@ -124,7 +85,6 @@ void FoldRep(PhaseResult& best, const PhaseResult& rep) {
 
 PhaseResult RunPhase(int port, int clients, int reqs_per_client) {
   std::vector<std::vector<double>> latencies(clients);
-  std::vector<ReplySets> replies(clients);
   std::atomic<int64_t> ok{0};
   std::atomic<int64_t> errors{0};
 
@@ -140,17 +100,13 @@ PhaseResult RunPhase(int port, int clients, int reqs_per_client) {
       }
       latencies[t].reserve(reqs_per_client);
       for (int i = 0; i < reqs_per_client; ++i) {
-        const int qi = (t + i) % kNumQueries;
         mnc::Stopwatch watch;
-        auto r = client.Call(kQueries[qi], /*deadline_ms=*/0,
-                             /*timeout_ms=*/30'000);
+        auto r = client.Call(kQueries[(t + i) % kNumQueries],
+                             /*deadline_ms=*/0, /*timeout_ms=*/30'000);
         const double ms = watch.ElapsedMillis();
         if (r.ok() && r->ok()) {
           ok.fetch_add(1, std::memory_order_relaxed);
           latencies[t].push_back(ms);
-          replies[t][qi].insert(
-              (r->degraded ? "degraded|" : "") + r->served_by + "|" +
-              NormalizeBody(r->body));
         } else {
           errors.fetch_add(1, std::memory_order_relaxed);
         }
@@ -170,9 +126,6 @@ PhaseResult RunPhase(int port, int clients, int reqs_per_client) {
   result.qps = wall_s > 0 ? static_cast<double>(result.ok) / wall_s : 0.0;
   result.p50_ms = Percentile(all, 0.50);
   result.p99_ms = Percentile(all, 0.99);
-  for (int t = 0; t < clients; ++t)
-    for (int qi = 0; qi < kNumQueries; ++qi)
-      result.replies[qi].insert(replies[t][qi].begin(), replies[t][qi].end());
   return result;
 }
 
@@ -188,11 +141,8 @@ int main(int argc, char** argv) {
       static_cast<int>(mncbench::ArgInt(argc, argv, "workers", 4));
   const int reps =
       std::max(1, static_cast<int>(mncbench::ArgInt(argc, argv, "reps", 1)));
-  const int64_t batch_window_us =
-      std::max<int64_t>(1, mncbench::ArgInt(argc, argv, "batch-window-us", 200));
   const bool json = mncbench::ArgFlag(argc, argv, "json");
   const bool check = mncbench::ArgFlag(argc, argv, "check");
-  const bool check_batched = mncbench::ArgFlag(argc, argv, "check-batched");
 
   mnc::EstimationService service;
   mnc::Rng rng(42);
@@ -209,33 +159,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Both servers share one service (sketches, memo, plan cache); the only
-  // difference between the legs is the coalescing window.
   mnc::serve::ServerOptions opts;
   opts.num_workers = workers;
   opts.max_inflight = std::max(64, clients * 4);
   opts.max_pipeline = 8;
-  opts.batch_window_us = 0;  // unbatched baseline
   mnc::serve::Server server(&service, opts);
   if (const mnc::Status s = server.Start(); !s.ok()) {
     std::fprintf(stderr, "server start failed: %s\n", s.ToString().c_str());
     return 1;
   }
 
-  mnc::serve::ServerOptions bopts = opts;
-  bopts.batch_window_us = batch_window_us;
-  bopts.max_batch = std::max(2, clients);
-  mnc::serve::Server batched_server(&service, bopts);
-  if (const mnc::Status s = batched_server.Start(); !s.ok()) {
-    std::fprintf(stderr, "batched server start failed: %s\n",
-                 s.ToString().c_str());
-    return 1;
-  }
-
   std::printf("serve_load: dim=%lld sparsity=%g workers=%d clients=%d "
-              "reqs/client=%d batch_window=%lldus\n",
-              static_cast<long long>(dim), sparsity, workers, clients, reqs,
-              static_cast<long long>(batch_window_us));
+              "reqs/client=%d\n",
+              static_cast<long long>(dim), sparsity, workers, clients, reqs);
 
   // Warm the memo so every phase measures the steady serving state.
   const PhaseResult warmup = RunPhase(server.port(), 1, 8);
@@ -248,29 +184,18 @@ int main(int argc, char** argv) {
               static_cast<long long>(single.ok),
               static_cast<long long>(single.errors));
 
-  // The two concurrent legs alternate rep by rep so machine noise (thermal
-  // shifts, a background task) lands on both legs alike.
-  PhaseResult conc, batched;
+  PhaseResult conc;
   for (int r = 0; r < reps; ++r) {
     FoldRep(conc, RunPhase(server.port(), clients, reqs));
-    FoldRep(batched, RunPhase(batched_server.port(), clients, reqs));
   }
   std::printf("x%-5d : %8.0f qps   p50 %7.3f ms   p99 %7.3f ms   "
-              "%lld ok %lld err   (unbatched)\n",
+              "%lld ok %lld err\n",
               clients, conc.qps, conc.p50_ms, conc.p99_ms,
               static_cast<long long>(conc.ok),
               static_cast<long long>(conc.errors));
-  std::printf("x%-5d : %8.0f qps   p50 %7.3f ms   p99 %7.3f ms   "
-              "%lld ok %lld err   (batched, %.2fx)\n",
-              clients, batched.qps, batched.p50_ms, batched.p99_ms,
-              static_cast<long long>(batched.ok),
-              static_cast<long long>(batched.errors),
-              conc.qps > 0 ? batched.qps / conc.qps : 0.0);
 
   server.Shutdown();
-  batched_server.Shutdown();
   const mnc::serve::ServerStats stats = server.stats();
-  const mnc::serve::ServerStats bstats = batched_server.stats();
   std::printf("server : %lld conns, %lld requests, %lld replies, "
               "%lld typed errors, %lld busy\n",
               static_cast<long long>(stats.accepted),
@@ -278,30 +203,6 @@ int main(int argc, char** argv) {
               static_cast<long long>(stats.replies),
               static_cast<long long>(stats.typed_errors),
               static_cast<long long>(stats.busy_rejected));
-  const double mean_batch =
-      bstats.batches > 0 ? static_cast<double>(bstats.batched_requests) /
-                               static_cast<double>(bstats.batches)
-                         : 0.0;
-  std::printf("batched: %lld batches, %lld batched requests, "
-              "%.2f mean batch size\n",
-              static_cast<long long>(bstats.batches),
-              static_cast<long long>(bstats.batched_requests), mean_batch);
-
-  // Cross-check: per query, the batched leg's replies must be byte-identical
-  // (timing suffix aside) to the unbatched leg's — and deterministic within
-  // each leg (one distinct reply text per query in the steady state).
-  int64_t mismatched_queries = 0;
-  for (int qi = 0; qi < kNumQueries; ++qi) {
-    if (conc.replies[qi] != batched.replies[qi] ||
-        conc.replies[qi].size() != 1) {
-      ++mismatched_queries;
-      std::fprintf(stderr, "reply mismatch for \"%s\":\n", kQueries[qi]);
-      for (const std::string& r : conc.replies[qi])
-        std::fprintf(stderr, "  unbatched: %s\n", r.c_str());
-      for (const std::string& r : batched.replies[qi])
-        std::fprintf(stderr, "  batched:   %s\n", r.c_str());
-    }
-  }
 
   if (json) {
     mncbench::JsonReport report("serve");
@@ -315,18 +216,9 @@ int main(int argc, char** argv) {
     report.Add("concurrent_qps", conc.qps);
     report.Add("concurrent_p50_ms", conc.p50_ms);
     report.Add("concurrent_p99_ms", conc.p99_ms);
-    report.Add("batch_window_us", batch_window_us);
-    report.Add("batched_qps", batched.qps);
-    report.Add("batched_p50_ms", batched.p50_ms);
-    report.Add("batched_p99_ms", batched.p99_ms);
-    report.Add("batched_speedup", conc.qps > 0 ? batched.qps / conc.qps : 0.0);
-    report.Add("batches", bstats.batches);
-    report.Add("batched_requests", bstats.batched_requests);
-    report.Add("mean_batch_size", mean_batch);
-    report.Add("reply_mismatches", mismatched_queries);
-    report.Add("ok", single.ok + conc.ok + batched.ok);
-    report.Add("errors", single.errors + conc.errors + batched.errors);
-    report.Add("busy_rejected", stats.busy_rejected + bstats.busy_rejected);
+    report.Add("ok", single.ok + conc.ok);
+    report.Add("errors", single.errors + conc.errors);
+    report.Add("busy_rejected", stats.busy_rejected);
     report.WriteToFile();
   }
 
@@ -358,42 +250,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("CHECK PASSED\n");
-  }
-
-  if (check_batched) {
-    if (batched.errors != 0 ||
-        batched.ok != static_cast<int64_t>(reps) * clients * reqs) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: batched leg resolved %lld/%lld with %lld "
-                   "errors\n",
-                   static_cast<long long>(batched.ok),
-                   static_cast<long long>(reps) * clients * reqs,
-                   static_cast<long long>(batched.errors));
-      return 1;
-    }
-    if (bstats.batches == 0 || bstats.batched_requests <= bstats.batches) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: coalescing never engaged (%lld batches, "
-                   "%lld batched requests)\n",
-                   static_cast<long long>(bstats.batches),
-                   static_cast<long long>(bstats.batched_requests));
-      return 1;
-    }
-    if (mismatched_queries != 0) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: %lld queries with batched/unbatched reply "
-                   "mismatches\n",
-                   static_cast<long long>(mismatched_queries));
-      return 1;
-    }
-    if (batched.qps < 1.3 * conc.qps) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: batched qps %.0f < 1.3x unbatched %.0f\n",
-                   batched.qps, conc.qps);
-      return 1;
-    }
-    std::printf("BATCHED CHECK PASSED (%.2fx)\n",
-                conc.qps > 0 ? batched.qps / conc.qps : 0.0);
   }
   return 0;
 }

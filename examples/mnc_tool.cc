@@ -30,7 +30,7 @@
 //       [--spill-dir <dir> --catalog-budget-mb <m>]
 //       [--plan-budget-mb <m>] [--packed-budget-mb <m>]
 //       [--exec "cmd; cmd; ..."] [--listen <port> [--workers <n>]
-//       [--batch-window-us <us>] [--max-connections <n>]]
+//       [--max-connections <n>]]
 //       Runs a long-lived estimation service: matrices are registered once
 //       (sketch catalog with content dedup), and repeated queries are
 //       answered from the canonicalized-expression memo cache. With
@@ -115,7 +115,7 @@ int Usage() {
                " [--plan-budget-mb <m>] [--packed-budget-mb <m>]"
                " [--exec \"cmd; cmd; ...\"]"
                " [--listen <port> [--workers <n>]"
-               " [--batch-window-us <us>] [--max-connections <n>]]\n"
+               " [--max-connections <n>]]\n"
                "  mnc_tool client --connect <port> [--deadline-ms <n>]"
                " [--exec \"cmd; cmd; ...\"]\n");
   return 2;
@@ -534,11 +534,10 @@ bool RunExecScript(const std::string& script, RunFn run) {
 }
 
 int RunListenServer(mnc::EstimationService& service, int port, int workers,
-                    long batch_window_us, int max_connections) {
+                    int max_connections) {
   mnc::serve::ServerOptions sopts;
   sopts.port = port;
   if (workers > 0) sopts.num_workers = workers;
-  if (batch_window_us >= 0) sopts.batch_window_us = batch_window_us;
   if (max_connections > 0) sopts.max_connections = max_connections;
   mnc::serve::Server server(&service, sopts);
   if (const mnc::Status s = server.Start(); !s.ok()) {
@@ -652,7 +651,6 @@ int CmdServe(int argc, char** argv) {
   const char* exec = nullptr;
   int listen_port = -1;
   int workers = 0;
-  long batch_window_us = -1;  // -1: keep the ServerOptions default
   int max_connections = 0;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--budget-mb") == 0 && i + 1 < argc) {
@@ -683,11 +681,6 @@ int CmdServe(int argc, char** argv) {
       listen_port = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
       workers = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--batch-window-us") == 0 &&
-               i + 1 < argc) {
-      // Coalescing window for concurrent estimates (--listen mode);
-      // 0 disables cross-request batching.
-      batch_window_us = std::atol(argv[++i]);
     } else if (std::strcmp(argv[i], "--max-connections") == 0 &&
                i + 1 < argc) {
       // Connection-count bound (--listen mode); 0 = unlimited.
@@ -737,8 +730,7 @@ int CmdServe(int argc, char** argv) {
   }
 
   if (listen_port >= 0) {
-    return RunListenServer(service, listen_port, workers, batch_window_us,
-                           max_connections);
+    return RunListenServer(service, listen_port, workers, max_connections);
   }
 
   // Interactive stdin REPL: a failed command reports its error and keeps

@@ -161,8 +161,9 @@ StatusOr<ServeClient::Reply> ServeClient::Call(const std::string& command,
   for (;;) {
     auto reply = Receive(timeout_ms);
     if (!reply.ok()) return reply.status();
-    // Replies arrive in request order on one connection, but tolerate any
-    // interleaving left over from an aborted pipelined sequence.
+    // Replies on one connection arrive in completion order, not request
+    // order, so a reply still owed to an earlier pipelined Send may come
+    // first; it is skipped. Connection-level error frames carry id 0.
     if (reply->request_id == id || reply->request_id == 0) return reply;
   }
 }

@@ -9,6 +9,10 @@
 // Call() is the simple path: send one command, wait for its reply. The
 // split Send()/Receive() pair allows pipelining many requests on one
 // connection (used by the backpressure and admission-control tests).
+// Pipelined replies may overtake each other: the server runs pipelined
+// requests concurrently and answers each as it completes. Match replies to
+// requests by request_id (Send reports the id it assigned), never by
+// position.
 
 #ifndef MNC_SERVE_CLIENT_H_
 #define MNC_SERVE_CLIENT_H_
@@ -55,8 +59,10 @@ class ServeClient {
   StatusOr<Reply> Call(const std::string& command, uint32_t deadline_ms = 0,
                        int64_t timeout_ms = 30'000);
 
-  // Pipelining half-calls: Send enqueues without waiting; Receive blocks for
-  // the next reply frame in arrival order.
+  // Pipelining half-calls: Send enqueues without waiting and reports the
+  // request's id; Receive blocks for the next reply frame in arrival
+  // (completion) order — check Reply::request_id to see which request it
+  // answers.
   Status Send(const std::string& command, uint32_t deadline_ms = 0,
               uint64_t* request_id = nullptr);
   StatusOr<Reply> Receive(int64_t timeout_ms = 30'000);

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
+#include <vector>
 
 #include "mnc/matrix/io.h"
 #include "mnc/util/stopwatch.h"
@@ -41,17 +42,6 @@ std::string TruncateEcho(const std::string& text) {
   return text.substr(0, kMaxEchoBytes) + "...";
 }
 
-// One body format for single-path and batched estimates: the bench's
-// byte-identity cross-check (batched vs unbatched replies) depends on the
-// two paths never drifting apart.
-std::string FormatEstimateBody(const EstimateResult& result, double ms) {
-  return Format(
-      "sparsity %.6g (%lld x %lld output, served by %s%s, %.3f ms)",
-      result.sparsity, static_cast<long long>(result.rows),
-      static_cast<long long>(result.cols), result.served_by.c_str(),
-      result.memo_hit ? ", memo hit" : "", ms);
-}
-
 CommandOutcome SleepCommand(const std::string& rest,
                             const RequestContext* ctx) {
   CommandOutcome out;
@@ -83,39 +73,6 @@ CommandOutcome SleepCommand(const std::string& rest,
 
 bool IsDegradedTier(const std::string& served_by) {
   return !served_by.empty() && served_by != "mnc" && served_by != "memo";
-}
-
-std::optional<std::string> BatchableEstimate(const std::string& line) {
-  const std::string trimmed = Trim(line);
-  if (trimmed.empty() || trimmed[0] == '#') return std::nullopt;
-  const size_t space = trimmed.find_first_of(" \t");
-  if (space == std::string::npos) return std::nullopt;  // bare `estimate` too
-  if (trimmed.substr(0, space) != "estimate") return std::nullopt;
-  const std::string rest = Trim(trimmed.substr(space + 1));
-  if (rest.empty()) return std::nullopt;
-  return rest;
-}
-
-std::vector<CommandOutcome> RunServeEstimateBatch(
-    EstimationService& service, const std::vector<std::string>& exprs,
-    const std::vector<const RequestContext*>& ctxs) {
-  Stopwatch watch;
-  const std::vector<StatusOr<EstimateResult>> results =
-      service.EstimateSourceBatch(exprs, ctxs);
-  // One wall-clock figure for the whole coalesced pass: each member waited
-  // for the shared computation, so it is every member's serving time.
-  const double ms = watch.ElapsedMillis();
-  std::vector<CommandOutcome> outs(exprs.size());
-  for (size_t i = 0; i < exprs.size(); ++i) {
-    if (!results[i].ok()) {
-      outs[i].status = results[i].status();
-      continue;
-    }
-    outs[i].served_by = results[i]->served_by;
-    outs[i].degraded = IsDegradedTier(results[i]->served_by);
-    outs[i].body = FormatEstimateBody(*results[i], ms);
-  }
-  return outs;
 }
 
 CommandOutcome RunServeCommand(EstimationService& service,
@@ -231,7 +188,11 @@ CommandOutcome RunServeCommand(EstimationService& service,
     }
     out.served_by = result->served_by;
     out.degraded = IsDegradedTier(result->served_by);
-    out.body = FormatEstimateBody(*result, ms);
+    out.body = Format(
+        "sparsity %.6g (%lld x %lld output, served by %s%s, %.3f ms)",
+        result->sparsity, static_cast<long long>(result->rows),
+        static_cast<long long>(result->cols), result->served_by.c_str(),
+        result->memo_hit ? ", memo hit" : "", ms);
     return out;
   }
 
@@ -320,17 +281,9 @@ CommandOutcome RunServeCommand(EstimationService& service,
                static_cast<long long>(s.spill_read_failures),
                static_cast<long long>(s.spill_write_failures));
     if (serve != nullptr) {
-      const double mean =
-          serve->batches > 0 ? static_cast<double>(serve->batched_requests) /
-                                   static_cast<double>(serve->batches)
-                             : 0.0;
-      out.body += Format(
-          "\nserve: %lld open connections, %lld rejected, %lld batches, "
-          "%lld batched requests, %.2f mean batch size",
-          static_cast<long long>(serve->open_connections),
-          static_cast<long long>(serve->conn_rejected),
-          static_cast<long long>(serve->batches),
-          static_cast<long long>(serve->batched_requests), mean);
+      out.body += Format("\nserve: %lld open connections, %lld rejected",
+                         static_cast<long long>(serve->open_connections),
+                         static_cast<long long>(serve->conn_rejected));
     }
     return out;
   }

@@ -25,9 +25,7 @@
 #ifndef MNC_SERVE_COMMAND_H_
 #define MNC_SERVE_COMMAND_H_
 
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "mnc/service/estimation_service.h"
 #include "mnc/util/deadline.h"
@@ -58,9 +56,7 @@ bool IsDegradedTier(const std::string& served_by);
 // offline REPL passes nullptr and gets no serve line.
 struct ServeTierInfo {
   int64_t open_connections = 0;
-  int64_t conn_rejected = 0;     // accepts refused by max_connections
-  int64_t batches = 0;           // coalesced estimate batches dispatched
-  int64_t batched_requests = 0;  // requests served through those batches
+  int64_t conn_rejected = 0;  // accepts refused by max_connections
 };
 
 // Executes one command line against `service`. Blank lines and '#' comments
@@ -71,21 +67,6 @@ CommandOutcome RunServeCommand(EstimationService& service,
                                const std::string& line,
                                const RequestContext* ctx = nullptr,
                                const ServeTierInfo* serve = nullptr);
-
-// The expression text when `line` is a plain `estimate <expr>` command —
-// the only verb the server may coalesce across connections (anything else,
-// including blanks/comments and a bare `estimate`, returns nullopt and
-// takes the single-request path).
-std::optional<std::string> BatchableEstimate(const std::string& line);
-
-// Runs a coalesced batch of estimate expressions (texts extracted by
-// BatchableEstimate) through one EstimateSourceBatch pass; ctxs[i] bounds
-// entry i. Outcomes align with `exprs` and match what
-// RunServeCommand("estimate <expr>") would have produced entry for entry:
-// same body format, serving tier, degraded flag, and typed errors.
-std::vector<CommandOutcome> RunServeEstimateBatch(
-    EstimationService& service, const std::vector<std::string>& exprs,
-    const std::vector<const RequestContext*>& ctxs);
 
 }  // namespace mnc::serve
 

@@ -14,6 +14,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "mnc/serve/command.h"
 #include "mnc/util/check.h"
@@ -50,9 +51,6 @@ ServerOptions SanitizeOptions(ServerOptions o) {
   }
   // 0 would suspend reads forever (an empty outbox already "exceeds" it).
   if (o.max_outbox_bytes == 0) o.max_outbox_bytes = 1;
-  if (o.batch_window_us < 0) o.batch_window_us = 0;
-  // A 1-request "batch" is just the single path with extra latency.
-  if (o.max_batch < 2) o.max_batch = 2;
   return o;
 }
 
@@ -185,37 +183,42 @@ void Server::SendFrame(const std::shared_ptr<Connection>& conn,
   conn->outbox += bytes;
 }
 
-RequestContext Server::MakeRequestContext(
-    const std::shared_ptr<Connection>& conn, uint32_t deadline_ms) const {
+void Server::DispatchRequest(const std::shared_ptr<Connection>& conn,
+                             Frame request) {
   // Deadline: request header wins, else the server default; the
   // serve.deadline fail point forces the expiry path deterministically.
   RequestContext ctx;
   if (MncFailPointArmed(kDeadlineFailPoint)) {
     ctx = RequestContext::Expired();
   } else {
-    const int64_t bound_ms = deadline_ms > 0
-                                 ? static_cast<int64_t>(deadline_ms)
+    const int64_t bound_ms = request.deadline_ms > 0
+                                 ? static_cast<int64_t>(request.deadline_ms)
                                  : options_.default_deadline_ms;
     if (bound_ms > 0) {
       ctx = RequestContext::WithDeadlineAfterMillis(bound_ms);
     }
   }
   ctx.set_cancel_token(&conn->cancel);
-  return ctx;
-}
 
-bool Server::FinishRequest(const std::shared_ptr<Connection>& conn,
-                           uint64_t request_id, const CommandOutcome& out) {
+  ServeTierInfo tier;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    tier.open_connections = stats_.open_connections;
+    tier.conn_rejected = stats_.conn_rejected;
+  }
+  const CommandOutcome out =
+      RunServeCommand(*service_, request.payload, &ctx, &tier);
+
   Frame reply;
   if (!out.ok()) {
-    reply = MakeErrorFrame(request_id, out.status);
+    reply = MakeErrorFrame(request.request_id, out.status);
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.typed_errors;
     if (out.status.code() == StatusCode::kDeadlineExceeded) {
       ++stats_.deadline_errors;
     }
   } else {
-    reply = MakeReplyFrame(request_id,
+    reply = MakeReplyFrame(request.request_id,
                            out.served_by.empty() ? "ok" : out.served_by,
                            out.degraded, out.body);
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -223,25 +226,7 @@ bool Server::FinishRequest(const std::shared_ptr<Connection>& conn,
     if (out.degraded) ++stats_.degraded;
   }
   SendFrame(conn, reply);
-  return out.quit;
-}
-
-void Server::DispatchRequest(const std::shared_ptr<Connection>& conn,
-                             Frame request) {
-  const RequestContext ctx = MakeRequestContext(conn, request.deadline_ms);
-
-  ServeTierInfo tier;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    tier.open_connections = stats_.open_connections;
-    tier.conn_rejected = stats_.conn_rejected;
-    tier.batches = stats_.batches;
-    tier.batched_requests = stats_.batched_requests;
-  }
-  const CommandOutcome out =
-      RunServeCommand(*service_, request.payload, &ctx, &tier);
-
-  if (FinishRequest(conn, request.request_id, out)) {
+  if (out.quit) {
     std::lock_guard<std::mutex> lock(conn->mu);
     conn->close_after_flush = true;
   }
@@ -250,40 +235,6 @@ void Server::DispatchRequest(const std::shared_ptr<Connection>& conn,
   conn->pipeline.fetch_sub(1, std::memory_order_acq_rel);
   inflight_.fetch_sub(1, std::memory_order_acq_rel);
   Wake();
-}
-
-void Server::DispatchBatch(std::vector<PendingRequest> batch) {
-  std::vector<std::string> exprs;
-  std::vector<const RequestContext*> ctxs;
-  exprs.reserve(batch.size());
-  ctxs.reserve(batch.size());
-  for (const PendingRequest& p : batch) {
-    exprs.push_back(p.expr);
-    ctxs.push_back(&p.ctx);
-  }
-  const std::vector<CommandOutcome> outs =
-      RunServeEstimateBatch(*service_, exprs, ctxs);
-  // Fan replies back out; `estimate` never quits, so no close_after_flush.
-  for (size_t i = 0; i < batch.size(); ++i) {
-    FinishRequest(batch[i].conn, batch[i].request_id, outs[i]);
-    batch[i].conn->pipeline.fetch_sub(1, std::memory_order_acq_rel);
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-  }
-  Wake();
-}
-
-void Server::FlushBatch() {
-  if (pending_batch_.empty()) return;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.batches;
-    stats_.batched_requests += static_cast<int64_t>(pending_batch_.size());
-  }
-  workers_->Submit(
-      [this, batch = std::move(pending_batch_)]() mutable {
-        DispatchBatch(std::move(batch));
-      });
-  pending_batch_.clear();  // moved-from: restore a known-empty state
 }
 
 void Server::AcceptNew() {
@@ -414,30 +365,9 @@ bool Server::ReadConnection(const std::shared_ptr<Connection>& conn) {
           std::lock_guard<std::mutex> lock(stats_mu_);
           ++stats_.requests;
         }
-        // Coalescing: admitted `estimate` requests park in the IO thread's
-        // pending batch (flushed by the IoLoop policy); everything else
-        // dispatches individually as before. The request context is built
-        // here so the coalescing delay counts against the deadline.
-        std::optional<std::string> expr;
-        if (options_.batch_window_us > 0) {
-          expr = BatchableEstimate(frame.payload);
-        }
-        if (expr.has_value()) {
-          if (pending_batch_.empty()) batch_started_ = Clock::now();
-          PendingRequest pending;
-          pending.conn = conn;
-          pending.request_id = frame.request_id;
-          pending.expr = std::move(*expr);
-          pending.ctx = MakeRequestContext(conn, frame.deadline_ms);
-          pending_batch_.push_back(std::move(pending));
-          if (static_cast<int>(pending_batch_.size()) >= options_.max_batch) {
-            FlushBatch();
-          }
-        } else {
-          workers_->Submit([this, conn, frame = std::move(frame)]() mutable {
-            DispatchRequest(conn, std::move(frame));
-          });
-        }
+        workers_->Submit([this, conn, frame = std::move(frame)]() mutable {
+          DispatchRequest(conn, std::move(frame));
+        });
         break;
       }
       default: {
@@ -563,13 +493,8 @@ void Server::IoLoop() {
     }
 
     // Short fixed tick: wake-ups come through the pipe, the tick only
-    // bounds idle-reaper and drain-deadline latency. With a batch pending
-    // the poll must not block — anything already queued in socket buffers
-    // joins the batch this sweep, and an empty sweep flushes it below, so
-    // the coalescing delay for a lone client is one spin, not the window.
-    const int poll_timeout_ms = pending_batch_.empty() ? 100 : 0;
-    ::poll(pfds.data(), pfds.size(), poll_timeout_ms);
-    const size_t batch_before = pending_batch_.size();
+    // bounds idle-reaper and drain-deadline latency.
+    ::poll(pfds.data(), pfds.size(), /*timeout=*/100);
 
     size_t idx = 0;
     if (pfds[idx].revents & POLLIN) {
@@ -607,19 +532,6 @@ void Server::IoLoop() {
       }
     }
 
-    // Batch flush policy: dispatch the pending coalesced estimates once the
-    // sweep stops contributing ("no new request arrived while we looked"),
-    // the window is over, or the server is draining. Together with the
-    // zero-timeout poll above this adds at most `batch_window_us` latency
-    // under trickling arrivals and ~one poll spin otherwise.
-    if (!pending_batch_.empty()) {
-      const bool grew = pending_batch_.size() > batch_before;
-      const bool window_over =
-          Clock::now() - batch_started_ >=
-          std::chrono::microseconds(options_.batch_window_us);
-      if (draining || !grew || window_over) FlushBatch();
-    }
-
     // Idle reaper: connections with no traffic and nothing in flight.
     if (options_.idle_timeout_ms > 0) {
       const auto cutoff =
@@ -645,10 +557,7 @@ void Server::IoLoop() {
     }
   }
 
-  // Drain finished (or timed out): close everything that remains. A batch
-  // still pending here (drain deadline hit before its flush) is dropped
-  // with its connections, like any other in-flight work at the deadline.
-  pending_batch_.clear();
+  // Drain finished (or timed out): close everything that remains.
   for (const auto& [fd, conn] : conns_) CloseConnection(conn);
   conns_.clear();
   {

@@ -5,13 +5,20 @@
 //
 //   accept/IO thread (poll)          worker pool (ThreadPool)
 //   ------------------------         -------------------------
-//   accept connections          -->  RunServeCommand(service, cmd, ctx)
-//   read bytes -> FrameReader        bounded by admission control
+//   accept connections          -->  one task per admitted request:
+//   read bytes -> FrameReader        RunServeCommand(service, cmd, ctx)
 //   admission check                  deadline via RequestContext
-//   dispatch requests           <--  enqueue reply into conn outbox,
+//   submit each request         <--  enqueue reply into conn outbox,
 //   write outboxes (POLLOUT)         wake the IO thread via pipe
 //   idle/slow-client timeouts
 //   graceful drain on Shutdown
+//
+// Every admitted request takes the same route: the IO thread submits it to
+// the pool as its own task (DispatchRequest), and the worker that runs it
+// encodes the reply. Requests pipelined on one connection run concurrently,
+// so their replies may overtake each other; clients match them by
+// request_id. The IO thread blocks in poll with a fixed 100 ms tick and is
+// otherwise woken only by socket readiness or the wake pipe.
 //
 // Robustness contract: a client-visible fault — malformed frame, oversized
 // payload, command error, estimator-tier failure, expired deadline, full
@@ -25,13 +32,6 @@
 //     immediately with RESOURCE_EXHAUSTED ("server busy") instead of
 //     queueing without bound. `max_connections` bounds the connection count
 //     the same way: accepts beyond it get a typed error frame and close.
-//   - Cross-request batching: concurrent `estimate` requests arriving
-//     within `batch_window_us` coalesce into one EstimateSourceBatch pass
-//     on the worker pool (identical texts computed once); replies fan back
-//     out per connection, and per-request semantics — typed errors,
-//     deadlines, cancellation on connection close, degraded flags — hold
-//     inside a batch exactly as outside it (see DESIGN.md,
-//     "Cross-request batching").
 //   - Backpressure: a connection with `max_pipeline` requests in flight OR
 //     more than `max_outbox_bytes` of unflushed reply bytes stops being read
 //     (its socket is dropped from the poll set) until replies drain, so one
@@ -57,20 +57,14 @@
 #define MNC_SERVE_SERVER_H_
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
-#include <vector>
 
-#include "mnc/serve/command.h"
 #include "mnc/serve/frame.h"
 #include "mnc/service/estimation_service.h"
-#include "mnc/util/deadline.h"
 #include "mnc/util/status.h"
 #include "mnc/util/thread_pool.h"
 
@@ -98,17 +92,6 @@ struct ServerOptions {
   // Default per-request deadline when the request frame carries none;
   // 0 = unbounded.
   int64_t default_deadline_ms = 0;
-  // Cross-request batching: concurrent `estimate` requests arriving within
-  // this coalescing window are collected into one EstimateSourceBatch pass
-  // (one thread-pool dispatch, one memo traversal for shared subtrees,
-  // identical texts computed once) with replies fanned back per connection;
-  // 0 disables (every request dispatches individually). The window is an
-  // upper bound on added latency: a batch flushes as soon as a poll sweep
-  // brings no new request, so a lone closed-loop client is not delayed.
-  int64_t batch_window_us = 200;
-  // Most requests one batch may carry before it flushes regardless of the
-  // window.
-  int max_batch = 16;
   // Connection-count bound: accepts beyond it are rejected with a typed
   // RESOURCE_EXHAUSTED error frame and closed. <= 0 = unlimited.
   int max_connections = 0;
@@ -137,8 +120,6 @@ struct ServerStats {
                                  // by the outbox byte bound
   int64_t open_connections = 0;  // connections currently open
   int64_t conn_rejected = 0;     // accepts refused by max_connections
-  int64_t batches = 0;           // coalesced estimate batches dispatched
-  int64_t batched_requests = 0;  // requests served through those batches
 };
 
 class Server {
@@ -174,29 +155,11 @@ class Server {
  private:
   struct Connection;
 
-  // One admitted request waiting in the IO thread's coalescing buffer.
-  struct PendingRequest {
-    std::shared_ptr<Connection> conn;
-    uint64_t request_id = 0;
-    std::string expr;    // batchable estimate expression text
-    RequestContext ctx;  // built at admission; points at conn's cancel token
-  };
-
   void IoLoop();
-  // Deadline/cancellation bound for a request on `conn` (header deadline,
-  // server default, serve.deadline fail point).
-  RequestContext MakeRequestContext(const std::shared_ptr<Connection>& conn,
-                                    uint32_t deadline_ms) const;
+  // Runs one admitted request on a worker: bounds it (header deadline,
+  // server default, serve.deadline fail point, the connection's cancel
+  // token), executes it, and enqueues its reply or typed error on `conn`.
   void DispatchRequest(const std::shared_ptr<Connection>& conn, Frame request);
-  // Encodes `out` into the reply/error frame for `request_id`, updates
-  // stats, and enqueues it on `conn`; returns whether the command asked to
-  // end the session.
-  bool FinishRequest(const std::shared_ptr<Connection>& conn,
-                     uint64_t request_id, const CommandOutcome& out);
-  // Runs a coalesced batch on a worker and fans replies back out.
-  void DispatchBatch(std::vector<PendingRequest> batch);
-  // Submits the pending coalescing buffer to the worker pool (IO thread).
-  void FlushBatch();
   void SendFrame(const std::shared_ptr<Connection>& conn, const Frame& frame);
   void Wake();
   // IO-thread helpers.
@@ -223,13 +186,6 @@ class Server {
   // Connections are owned and mutated by the IO thread only; workers reach
   // them through shared_ptr and touch only the mutex-guarded outbox.
   std::map<int, std::shared_ptr<Connection>> conns_;
-
-  // Coalescing buffer for batchable estimates, owned by the IO thread.
-  // While non-empty the IO loop polls with timeout 0 and flushes as soon as
-  // a sweep adds nothing new, the window expires, the batch is full, or the
-  // server starts draining.
-  std::vector<PendingRequest> pending_batch_;
-  std::chrono::steady_clock::time_point batch_started_;
 
   mutable std::mutex stats_mu_;
   ServerStats stats_;

@@ -556,11 +556,8 @@ StatusOr<EstimateResult> EstimationService::EstimateDegraded(
                                : "MNC path failed and fallback is disabled");
 }
 
-StatusOr<EstimateResult> EstimationService::EstimateSource(
-    const std::string& source, const RequestContext* request) {
-  // Catalog leaves (matrix-backed and sketch-only alike) resolve as
-  // pre-built nodes, so repeated sources share DAG identity with the
-  // catalog and with each other.
+StatusOr<ExprPtr> EstimationService::ParseSource(
+    const std::string& source) const {
   std::map<std::string, ExprPtr> leaves;
   {
     std::shared_lock<std::shared_mutex> lock(catalog_mu_);
@@ -568,11 +565,18 @@ StatusOr<EstimateResult> EstimationService::EstimateSource(
       leaves.emplace(name, entry->leaf);
     }
   }
-  const ParseResult parsed = ParseProgram(source, {}, leaves);
+  ParseResult parsed = ParseProgram(source, {}, leaves);
   if (!parsed.ok()) {
     return Status::InvalidArgument("parse error: " + parsed.error);
   }
-  return Estimate(parsed.expr, request);
+  return std::move(parsed.expr);
+}
+
+StatusOr<EstimateResult> EstimationService::EstimateSource(
+    const std::string& source, const RequestContext* request) {
+  const StatusOr<ExprPtr> root = ParseSource(source);
+  if (!root.ok()) return root.status();
+  return Estimate(*root, request);
 }
 
 const void* EstimationService::ProfileToken() const {
@@ -770,18 +774,9 @@ StatusOr<Matrix> EstimationService::ExecuteSource(const std::string& source,
                                                   const RequestContext* request) {
   // Sketch-only leaves parse fine here; Execute then fails with the typed
   // kFailedPrecondition from ValidateDag if the DAG actually uses one.
-  std::map<std::string, ExprPtr> leaves;
-  {
-    std::shared_lock<std::shared_mutex> lock(catalog_mu_);
-    for (const auto& [name, entry] : by_name_) {
-      leaves.emplace(name, entry->leaf);
-    }
-  }
-  const ParseResult parsed = ParseProgram(source, {}, leaves);
-  if (!parsed.ok()) {
-    return Status::InvalidArgument("parse error: " + parsed.error);
-  }
-  return Execute(parsed.expr, request);
+  const StatusOr<ExprPtr> root = ParseSource(source);
+  if (!root.ok()) return root.status();
+  return Execute(*root, request);
 }
 
 std::vector<StatusOr<EstimateResult>> EstimationService::EstimateBatch(
@@ -804,137 +799,6 @@ std::vector<StatusOr<EstimateResult>> EstimationService::EstimateBatch(
           Estimate(roots[static_cast<size_t>(i)], request);
     }
   });
-  return results;
-}
-
-std::vector<StatusOr<EstimateResult>> EstimationService::EstimateBatch(
-    const std::vector<ExprPtr>& roots,
-    const std::vector<const RequestContext*>& ctxs) {
-  const int64_t n = static_cast<int64_t>(roots.size());
-  batch_queries_.fetch_add(n, std::memory_order_relaxed);
-  std::vector<StatusOr<EstimateResult>> results(
-      roots.size(), StatusOr<EstimateResult>(
-                        Status::Internal("batch entry not computed")));
-  pool_.ParallelFor(0, n, /*grain=*/1, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      const size_t idx = static_cast<size_t>(i);
-      results[idx] = Estimate(roots[idx],
-                              idx < ctxs.size() ? ctxs[idx] : nullptr);
-    }
-  });
-  return results;
-}
-
-std::vector<StatusOr<EstimateResult>> EstimationService::EstimateSourceBatch(
-    const std::vector<std::string>& sources,
-    const std::vector<const RequestContext*>& ctxs) {
-  std::vector<StatusOr<EstimateResult>> results(
-      sources.size(), StatusOr<EstimateResult>(
-                          Status::Internal("batch entry not computed")));
-  if (sources.empty()) return results;
-  batch_queries_.fetch_add(static_cast<int64_t>(sources.size()),
-                           std::memory_order_relaxed);
-
-  // One catalog snapshot serves every parse in the batch.
-  std::map<std::string, ExprPtr> leaves;
-  {
-    std::shared_lock<std::shared_mutex> lock(catalog_mu_);
-    for (const auto& [name, entry] : by_name_) {
-      leaves.emplace(name, entry->leaf);
-    }
-  }
-
-  const auto member_ctx = [&ctxs](size_t i) -> const RequestContext* {
-    return i < ctxs.size() ? ctxs[i] : nullptr;
-  };
-
-  // Identical source texts collapse into one group — one parse, one
-  // estimate — with results fanned back out per member below.
-  struct Group {
-    std::vector<size_t> members;
-    ExprPtr root;  // null when the parse failed
-    Status parse_status = Status::Ok();
-    // Bound for the shared computation. Multi-member groups get a merged
-    // context: the laxest member's deadline and NO cancel token, so one
-    // member's closed connection never cancels work its neighbors share.
-    RequestContext merged;
-    const RequestContext* ctx = nullptr;
-  };
-  std::vector<Group> groups;
-  {
-    std::unordered_map<std::string, size_t> by_source;
-    for (size_t i = 0; i < sources.size(); ++i) {
-      const auto [it, fresh] = by_source.emplace(sources[i], groups.size());
-      if (fresh) groups.emplace_back();
-      groups[it->second].members.push_back(i);
-    }
-  }
-
-  for (Group& group : groups) {
-    const ParseResult parsed =
-        ParseProgram(sources[group.members.front()], {}, leaves);
-    if (!parsed.ok()) {
-      group.parse_status =
-          Status::InvalidArgument("parse error: " + parsed.error);
-      continue;
-    }
-    group.root = parsed.expr;
-    if (group.members.size() == 1) {
-      group.ctx = member_ctx(group.members.front());
-      continue;
-    }
-    bool unbounded = false;
-    int64_t laxest_ms = 0;
-    for (size_t i : group.members) {
-      const RequestContext* ctx = member_ctx(i);
-      if (ctx == nullptr || !ctx->has_deadline()) {
-        unbounded = true;
-        break;
-      }
-      laxest_ms = std::max(laxest_ms, ctx->RemainingMillis().value_or(0));
-    }
-    if (!unbounded) {
-      group.merged = RequestContext::WithDeadlineAfterMillis(laxest_ms);
-      group.ctx = &group.merged;
-    }
-  }
-
-  std::vector<StatusOr<EstimateResult>> shared(
-      groups.size(), StatusOr<EstimateResult>(
-                         Status::Internal("batch group not computed")));
-  const int64_t n = static_cast<int64_t>(groups.size());
-  pool_.ParallelFor(0, n, /*grain=*/1, [&](int64_t begin, int64_t end) {
-    for (int64_t g = begin; g < end; ++g) {
-      const size_t idx = static_cast<size_t>(g);
-      if (groups[idx].root != nullptr) {
-        shared[idx] = Estimate(groups[idx].root, groups[idx].ctx);
-      }
-    }
-  });
-
-  // Fan out, re-applying each member's own bound: sharing a computation
-  // must not extend a member's deadline or outlive its cancellation.
-  for (size_t g = 0; g < groups.size(); ++g) {
-    const Group& group = groups[g];
-    for (size_t i : group.members) {
-      if (group.root == nullptr) {
-        results[i] = group.parse_status;
-        continue;
-      }
-      if (const RequestContext* ctx = member_ctx(i); ctx != nullptr) {
-        const Status bound = ctx->Check("estimate");
-        if (!bound.ok()) {
-          if (group.members.size() > 1) {
-            // Singleton groups already counted inside Estimate.
-            failed_estimates_.fetch_add(1, std::memory_order_relaxed);
-          }
-          results[i] = bound;
-          continue;
-        }
-      }
-      results[i] = shared[g];
-    }
-  }
   return results;
 }
 

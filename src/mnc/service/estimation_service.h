@@ -272,27 +272,6 @@ class EstimationService {
   std::vector<StatusOr<EstimateResult>> EstimateBatch(
       const std::vector<ExprPtr>& roots, const RequestContext* ctx = nullptr);
 
-  // Per-entry bounded form: entry i is bounded by ctxs[i] (null pointers,
-  // or a `ctxs` shorter than `roots`, mean unbounded entries).
-  std::vector<StatusOr<EstimateResult>> EstimateBatch(
-      const std::vector<ExprPtr>& roots,
-      const std::vector<const RequestContext*>& ctxs);
-
-  // Batched EstimateSource — the serving tier's coalescing path. One catalog
-  // snapshot serves every parse, and identical source texts in the batch
-  // share a single parse + estimate (concurrent clients asking for the same
-  // expression amortize to one computation). Results align with `sources`
-  // and keep per-request semantics: parse and estimation errors are typed
-  // per entry, and each entry honors its own context — a member whose
-  // deadline expired (or whose connection cancelled) while a shared
-  // computation ran reports kDeadlineExceeded even though neighbors sharing
-  // that computation get the result. Shared computations for multi-member
-  // groups run under a merged bound (the laxest member's deadline, no cancel
-  // token) so one member giving up never cancels its neighbors.
-  std::vector<StatusOr<EstimateResult>> EstimateSourceBatch(
-      const std::vector<std::string>& sources,
-      const std::vector<const RequestContext*>& ctxs);
-
   // Evaluates the DAG on the internal pool. With options.guided_exec set,
   // execution is sketch-guided: cataloged leaf sketches are reused (ad-hoc
   // leaves are sketched on the fly) and every product consults the
@@ -351,6 +330,13 @@ class EstimationService {
   };
 
   LeafFingerprintFn MakeResolver() const;
+
+  // Parses `source` over a shared-lock snapshot of the catalog leaves
+  // (matrix-backed and sketch-only alike), so repeated sources share DAG
+  // identity with the catalog and with each other. A parse failure is
+  // kInvalidArgument "parse error: ...". Shared by EstimateSource and
+  // ExecuteSource.
+  StatusOr<ExprPtr> ParseSource(const std::string& source) const;
 
   // Registers a streaming-built sketch under `name` (shared tail of the
   // RegisterMatrixStreaming overloads).

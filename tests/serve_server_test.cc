@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstring>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -213,7 +214,7 @@ TEST_F(ServeServerTest, AdmissionControlRejectsBeyondMaxInflight) {
   ServeClient client;
   ASSERT_TRUE(client.Connect(server_->port()).ok());
 
-  // One batch of pipelined sleeps arrives faster than workers drain it:
+  // One burst of pipelined sleeps arrives faster than workers drain it:
   // the first two are admitted, the surplus is rejected typed, immediately.
   constexpr int kRequests = 6;
   for (int i = 0; i < kRequests; ++i) {
@@ -582,19 +583,18 @@ TEST_F(ServeServerTest, DrainTimeoutBoundsShutdown) {
   EXPECT_LT(elapsed, 4000);
 }
 
-TEST_F(ServeServerTest, BatchedPipelinedEstimatesAllResolve) {
-  // A wide-open coalescing window plus a pipelined burst makes batching
-  // deterministic: the burst lands in the pending buffer and is dispatched
-  // through EstimateSourceBatch, not request-by-request.
+TEST_F(ServeServerTest, PipelinedEstimatesAllResolve) {
+  // A pipelined burst on one connection: every request resolves, and each
+  // reply matches the single-request reply for its own expression.
+  // Workers finish pipelined requests in any order, so replies are paired
+  // with requests by request_id, never by position.
   ServerOptions opts;
-  opts.batch_window_us = 500'000;
-  opts.max_batch = 8;
   opts.max_pipeline = 16;
   StartServer(opts);
   ServeClient client;
   ASSERT_TRUE(client.Connect(server_->port()).ok());
 
-  // Reference replies via the single path (memo-warm both expressions).
+  // Reference replies via sequential calls (memo-warm both expressions).
   auto warm_ab = client.Call("estimate A %*% B");
   auto warm_ba = client.Call("estimate B %*% A");
   ASSERT_TRUE(warm_ab.ok() && warm_ab->ok());
@@ -605,79 +605,118 @@ TEST_F(ServeServerTest, BatchedPipelinedEstimatesAllResolve) {
   ASSERT_TRUE(memo_ba.ok() && memo_ba->ok());
 
   constexpr int kRequests = 8;
+  std::map<uint64_t, int> index_of;  // request_id -> send position
   for (int i = 0; i < kRequests; ++i) {
+    uint64_t id = 0;
     ASSERT_TRUE(
-        client.Send(i % 2 == 0 ? "estimate A %*% B" : "estimate B %*% A")
+        client.Send(i % 2 == 0 ? "estimate A %*% B" : "estimate B %*% A",
+                    /*deadline_ms=*/0, &id)
             .ok());
+    index_of[id] = i;
   }
-  for (int i = 0; i < kRequests; ++i) {
+  for (int n = 0; n < kRequests; ++n) {
     auto r = client.Receive(/*timeout_ms=*/10'000);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(r->ok()) << r->status.ToString();
+    const auto it = index_of.find(r->request_id);
+    ASSERT_NE(it, index_of.end()) << "unknown or repeated request_id "
+                                  << r->request_id;
+    const int i = it->second;
+    index_of.erase(it);
     EXPECT_EQ(r->served_by, "memo");
-    // Identical to the single-path reply, wall-clock timing suffix aside.
+    // Identical to the sequential reply, wall-clock timing suffix aside.
     const auto& want = i % 2 == 0 ? memo_ab : memo_ba;
     const std::string got_body = r->body.substr(0, r->body.find_last_of(','));
     const std::string want_body =
         want->body.substr(0, want->body.find_last_of(','));
     EXPECT_EQ(got_body, want_body);
   }
+  EXPECT_TRUE(index_of.empty());
 
   const ServerStats stats = server_->stats();
-  EXPECT_GE(stats.batches, 1);
-  // The 4 sequential warm-up Calls also ride the batch path (as singleton
-  // batches), so the counter covers every estimate on this connection.
-  EXPECT_EQ(stats.batched_requests, kRequests + 4);
   EXPECT_EQ(stats.replies, kRequests + 4);
   EXPECT_EQ(stats.typed_errors, 0);
 }
 
-TEST_F(ServeServerTest, BatchIsolatesBadNeighbors) {
-  // One malformed expression and one unknown name inside a coalesced batch
-  // must produce their own typed errors without poisoning the good
-  // requests sharing the batch.
+TEST_F(ServeServerTest, PipelinedRepliesMayOvertake) {
+  // Replies on one connection come back in completion order: a fast
+  // estimate pipelined behind a slow sleep is answered first.
   ServerOptions opts;
-  opts.batch_window_us = 500'000;
-  opts.max_batch = 8;
+  opts.num_workers = 2;
+  StartServer(opts);
+  ServeClient client;
+  ASSERT_TRUE(client.Connect(server_->port()).ok());
+
+  uint64_t sleep_id = 0, estimate_id = 0;
+  ASSERT_TRUE(client.Send("sleep 200", /*deadline_ms=*/0, &sleep_id).ok());
+  ASSERT_TRUE(
+      client.Send("estimate A %*% B", /*deadline_ms=*/0, &estimate_id).ok());
+
+  auto first = client.Receive(/*timeout_ms=*/10'000);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first->ok()) << first->status.ToString();
+  EXPECT_EQ(first->request_id, estimate_id);
+  EXPECT_NE(first->body.find("sparsity"), std::string::npos);
+
+  auto second = client.Receive(/*timeout_ms=*/10'000);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_TRUE(second->ok()) << second->status.ToString();
+  EXPECT_EQ(second->request_id, sleep_id);
+  EXPECT_NE(second->body.find("slept"), std::string::npos);
+}
+
+TEST_F(ServeServerTest, PipelinedBadNeighborsGetOwnErrors) {
+  // One malformed expression and one unknown name pipelined among good
+  // requests produce their own typed errors without poisoning the good
+  // requests around them.
+  ServerOptions opts;
   opts.max_pipeline = 16;
   StartServer(opts);
   ServeClient client;
   ASSERT_TRUE(client.Connect(server_->port()).ok());
 
-  const char* burst[] = {
-      "estimate A %*% B",
-      "estimate A %*%",        // parse error
-      "estimate A %*% B",
-      "estimate NOPE %*% A",   // unknown leaf
-      "estimate B %*% A",
+  struct Pipelined {
+    const char* cmd;
+    bool want_ok;
   };
-  for (const char* cmd : burst) ASSERT_TRUE(client.Send(cmd).ok());
+  const Pipelined burst[] = {
+      {"estimate A %*% B", true},
+      {"estimate A %*%", false},  // parse error
+      {"estimate A %*% B", true},
+      {"estimate NOPE %*% A", false},  // unknown leaf
+      {"estimate B %*% A", true},
+  };
+  std::map<uint64_t, bool> want_ok;  // request_id -> expected outcome
+  for (const Pipelined& p : burst) {
+    uint64_t id = 0;
+    ASSERT_TRUE(client.Send(p.cmd, /*deadline_ms=*/0, &id).ok());
+    want_ok[id] = p.want_ok;
+  }
 
-  int ok = 0, bad = 0;
-  for (size_t i = 0; i < std::size(burst); ++i) {
+  for (size_t n = 0; n < std::size(burst); ++n) {
     auto r = client.Receive(/*timeout_ms=*/10'000);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    if (r->ok()) {
+    const auto it = want_ok.find(r->request_id);
+    ASSERT_NE(it, want_ok.end()) << "unknown or repeated request_id "
+                                 << r->request_id;
+    if (it->second) {
+      EXPECT_TRUE(r->ok()) << r->status.ToString();
       EXPECT_NE(r->body.find("sparsity"), std::string::npos);
-      ++ok;
     } else {
-      ++bad;
+      EXPECT_EQ(r->status.code(), StatusCode::kInvalidArgument);
     }
+    want_ok.erase(it);
   }
-  EXPECT_EQ(ok, 3);
-  EXPECT_EQ(bad, 2);
-  EXPECT_GE(server_->stats().batched_requests, 5);
+  EXPECT_TRUE(want_ok.empty());
 
-  // The batch fault touched only its own members: the session still serves.
+  // The faults touched only their own requests: the session still serves.
   auto again = client.Call("estimate A %*% B");
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->ok());
 }
 
-TEST_F(ServeServerTest, DeadlineFailPointAppliesPerRequestInsideBatch) {
+TEST_F(ServeServerTest, DeadlineFailPointAppliesPerPipelinedRequest) {
   ServerOptions opts;
-  opts.batch_window_us = 500'000;
-  opts.max_batch = 8;
   opts.max_pipeline = 16;
   StartServer(opts);
   ServeClient client;
@@ -691,7 +730,7 @@ TEST_F(ServeServerTest, DeadlineFailPointAppliesPerRequestInsideBatch) {
     for (int i = 0; i < kRequests; ++i) {
       auto r = client.Receive(/*timeout_ms=*/10'000);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
-      // Each coalesced request carries its own expired context and answers
+      // Each pipelined request carries its own expired context and answers
       // with its own typed error — never a late answer, never degraded.
       EXPECT_EQ(r->status.code(), StatusCode::kDeadlineExceeded);
       EXPECT_FALSE(r->degraded);
@@ -769,10 +808,12 @@ TEST_F(ServeServerTest, StatsVerbReportsServeAndPlanLines) {
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->ok()) << r->status.ToString();
   // The plan line carries the canonical second-chance counter; the serve
-  // line exists only on the socket path and reports this connection.
+  // line exists only on the socket path, reports this connection, and is
+  // the last line.
   EXPECT_NE(r->body.find("canonical"), std::string::npos);
-  EXPECT_NE(r->body.find("serve: 1 open connections"), std::string::npos);
-  EXPECT_NE(r->body.find("mean batch size"), std::string::npos);
+  const size_t serve = r->body.find("serve: ");
+  ASSERT_NE(serve, std::string::npos);
+  EXPECT_EQ(r->body.substr(serve), "serve: 1 open connections, 0 rejected");
 }
 
 TEST_F(ServeServerTest, ManyConnectionsConcurrently) {
