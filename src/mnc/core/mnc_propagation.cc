@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
+#include <limits>
 
 #include "mnc/core/mnc_estimator.h"
 #include "mnc/kernels/kernels.h"
@@ -12,11 +12,30 @@
 
 namespace mnc {
 
+namespace {
+
+// Doubles at or above 2^52 have no fractional part; clamping there keeps
+// the int64 conversion in range. Truncation is floor on x >= 0.
+constexpr double kNoFraction = 0x1p52;
+
+// The truncate step shared by the scalar and vector rounding below.
+inline int64_t Whole(double x) {
+  return static_cast<int64_t>(std::min(x, kNoFraction));
+}
+inline double Fraction(double x, int64_t whole) {
+  return std::min(x, kNoFraction) - static_cast<double>(whole);
+}
+
+// Eq. 15 estimates are bounded by the operand counts, so they need no cap.
+constexpr int64_t kNoCap = std::numeric_limits<int64_t>::max();
+
+}  // namespace
+
 int64_t ProbabilisticRound(double x, Rng& rng) {
   MNC_DCHECK(x >= 0.0);
-  const double fl = std::floor(x);
-  const double frac = x - fl;
-  return static_cast<int64_t>(fl) + (rng.Bernoulli(frac) ? 1 : 0);
+  const int64_t whole = Whole(x);
+  const double frac = Fraction(x, whole);
+  return frac > 0.0 ? whole + (rng.Uniform() < frac) : whole;
 }
 
 int64_t RoundCount(double x, RoundingMode mode, Rng& rng) {
@@ -26,27 +45,92 @@ int64_t RoundCount(double x, RoundingMode mode, Rng& rng) {
   return ProbabilisticRound(x, rng);
 }
 
+void RoundInto(const double* est, int64_t n, int64_t cap, RoundingMode mode,
+               Rng& rng, int64_t* out) {
+  if (mode == RoundingMode::kDeterministic) {
+    for (int64_t i = 0; i < n; ++i) {
+      out[i] = std::min<int64_t>(std::llround(est[i]), cap);
+    }
+    return;
+  }
+  // The engine runs on a local copy: stores to `out` may alias its state,
+  // which would pin the state in memory.
+  Rng local = rng;
+  // Chunks keep the index list on the stack, hot in L1.
+  constexpr int64_t kChunk = 512;
+  int64_t drawn[kChunk];
+  for (int64_t lo = 0; lo < n; lo += kChunk) {
+    const int64_t hi = std::min(n, lo + kChunk);
+    // Pass 1: whole parts, and the indices of entries with a fraction,
+    // compacted without a branch. Clamping the whole part first is exact:
+    // min(min(w, cap) + d, cap) == min(w + d, cap) for d in {0, 1}.
+    int64_t m = 0;
+    for (int64_t i = lo; i < hi; ++i) {
+      const int64_t whole = Whole(est[i]);
+      out[i] = std::min(whole, cap);
+      drawn[m] = i;
+      m += Fraction(est[i], whole) > 0.0;
+    }
+    // Pass 2: one draw per fractional entry, in index order.
+    for (int64_t k = 0; k < m; ++k) {
+      const int64_t i = drawn[k];
+      const int64_t whole = Whole(est[i]);
+      out[i] =
+          std::min(whole + (local.Uniform() < Fraction(est[i], whole)), cap);
+    }
+  }
+  rng = local;
+}
+
 namespace {
 
-// Scales counts so their sum approaches target_nnz, clamping every entry to
-// [0, cap] with probabilistic rounding (Eq. 11). The scaling is staged
-// through the vectorized kernel; the round/clamp stays scalar in index order
-// so the PRNG consumption is independent of the kernel level.
-std::vector<int64_t> ScaleCounts(const std::vector<int64_t>& counts,
-                                 double source_nnz, double target_nnz,
-                                 int64_t cap, Rng& rng, RoundingMode mode) {
-  std::vector<int64_t> out(counts.size(), 0);
-  if (source_nnz <= 0.0 || target_nnz <= 0.0) return out;
-  const double scale = target_nnz / source_nnz;
-  const int64_t n = static_cast<int64_t>(counts.size());
+// Stages one count vector's estimates with `stage(lo, hi, est)` (one
+// vectorized kernel call) and rounds them with RoundInto in index order, so
+// the PRNG consumption is independent of the kernel level.
+template <typename Stage>
+std::vector<int64_t> RoundStaged(int64_t n, int64_t cap, RoundingMode mode,
+                                 Rng& rng, const Stage& stage) {
+  std::vector<int64_t> out(static_cast<size_t>(n));
   ScratchPool::Lease lease = ScratchPool::Global().Acquire();
-  std::vector<double>& scaled = lease->StageDoubles(counts.size());
-  kernels::Active().scale_counts(counts.data(), n, scale, scaled.data());
-  for (size_t i = 0; i < counts.size(); ++i) {
-    out[i] = std::clamp<int64_t>(RoundCount(scaled[i], mode, rng), 0, cap);
-  }
+  std::vector<double>& est = lease->StageDoubles(static_cast<size_t>(n));
+  stage(0, n, est.data());
+  RoundInto(est.data(), n, cap, mode, rng, out.data());
   return out;
 }
+
+// Parallel RoundStaged: every fixed-size block stages into its worker's
+// arena and rounds with its own Rng seeded from (seed, stream, block index),
+// so the output is a pure function of the inputs and
+// config.min_rows_per_task — independent of the thread count.
+template <typename Stage>
+std::vector<int64_t> RoundStagedPar(int64_t n, int64_t cap, uint64_t seed,
+                                    uint64_t stream,
+                                    const ParallelConfig& config,
+                                    ThreadPool* pool, RoundingMode mode,
+                                    const Stage& stage) {
+  std::vector<int64_t> out(static_cast<size_t>(n));
+  const uint64_t stream_seed = MixSeed(seed, stream);
+  ParallelForBlocks(pool, config, n,
+                    [&](int64_t block, int64_t lo, int64_t hi) {
+    ScratchPool::Lease lease = ScratchPool::Global().Acquire();
+    std::vector<double>& est =
+        lease->StageDoubles(static_cast<size_t>(hi - lo));
+    stage(lo, hi, est.data());
+    Rng rng(MixSeed(stream_seed, static_cast<uint64_t>(block)));
+    RoundInto(est.data(), hi - lo, cap, mode, rng, out.data() + lo);
+  });
+  return out;
+}
+
+// Eq. 11 staging: scale = nnz(C) / nnz(input) moves the counts' sum to the
+// product estimate.
+struct ScaleStage {
+  const std::vector<int64_t>& counts;
+  double scale;
+  void operator()(int64_t lo, int64_t hi, double* est) const {
+    kernels::Active().scale_counts(counts.data() + lo, hi - lo, scale, est);
+  }
+};
 
 // Row-collision factor lambda^r = sum_i hrA_i hrB_i / (nnzA nnzB); the
 // column variant uses hc. (Eq. 13/15.)
@@ -77,60 +161,70 @@ double LambdaPar(const std::vector<int64_t>& u, const std::vector<int64_t>& v,
 constexpr uint64_t kStreamHr = 0;
 constexpr uint64_t kStreamHc = 1;
 
-// Parallel Eq. 11: like ScaleCounts, but every fixed-size block rounds with
-// its own Rng seeded from (seed, stream, block index), so the output is a
-// pure function of the inputs and config.min_rows_per_task — independent of
-// the thread count.
-std::vector<int64_t> ScaleCountsPar(const std::vector<int64_t>& counts,
-                                    double source_nnz, double target_nnz,
-                                    int64_t cap, uint64_t seed, uint64_t stream,
-                                    const ParallelConfig& config,
-                                    ThreadPool* pool, RoundingMode mode) {
-  std::vector<int64_t> out(counts.size(), 0);
-  if (source_nnz <= 0.0 || target_nnz <= 0.0) return out;
-  const double scale = target_nnz / source_nnz;
-  const uint64_t stream_seed = MixSeed(seed, stream);
-  const kernels::KernelTable& k = kernels::Active();
-  ParallelForBlocks(pool, config, static_cast<int64_t>(counts.size()),
-                    [&](int64_t block, int64_t lo, int64_t hi) {
-    // Per-worker staging from the pooled arena: the kernel scales the whole
-    // block, then the PRNG consumes draws in index order as before.
-    ScratchPool::Lease lease = ScratchPool::Global().Acquire();
-    std::vector<double>& scaled =
-        lease->StageDoubles(static_cast<size_t>(hi - lo));
-    k.scale_counts(counts.data() + lo, hi - lo, scale, scaled.data());
-    Rng rng(MixSeed(stream_seed, static_cast<uint64_t>(block)));
-    for (int64_t i = lo; i < hi; ++i) {
-      out[static_cast<size_t>(i)] = std::clamp<int64_t>(
-          RoundCount(scaled[static_cast<size_t>(i - lo)], mode, rng), 0, cap);
+// Eq. 15 staging of one output vector: `add` selects the union estimate
+// (capped at `dim`, the other dimension), otherwise the intersection.
+struct EWiseStage {
+  const std::vector<int64_t>& u;
+  const std::vector<int64_t>& v;
+  double lambda;
+  double dim;
+  bool add;
+  void operator()(int64_t lo, int64_t hi, double* est) const {
+    const kernels::KernelTable& k = kernels::Active();
+    if (add) {
+      k.ewise_add_est(u.data() + lo, v.data() + lo, hi - lo, lambda, dim, est);
+    } else {
+      k.ewise_mult_est(u.data() + lo, v.data() + lo, hi - lo, lambda, est);
     }
-  });
-  return out;
+  }
+};
+
+// Eq. 15 for both output vectors, on the caller's Rng (hr first).
+MncSketch PropagateEWise(const MncSketch& a, const MncSketch& b, Rng& rng,
+                         RoundingMode mode, bool add) {
+  MNC_CHECK_EQ(a.rows(), b.rows());
+  MNC_CHECK_EQ(a.cols(), b.cols());
+  const double nnz_a = static_cast<double>(a.nnz());
+  const double nnz_b = static_cast<double>(b.nnz());
+  const double lambda_r = Lambda(a.hr(), b.hr(), nnz_a, nnz_b);
+  const double lambda_c = Lambda(a.hc(), b.hc(), nnz_a, nnz_b);
+  const double rows = static_cast<double>(a.rows());
+  const double cols = static_cast<double>(a.cols());
+  std::vector<int64_t> hr =
+      RoundStaged(a.rows(), kNoCap, mode, rng,
+                  EWiseStage{a.hr(), b.hr(), lambda_c, cols, add});
+  std::vector<int64_t> hc =
+      RoundStaged(a.cols(), kNoCap, mode, rng,
+                  EWiseStage{a.hc(), b.hc(), lambda_r, rows, add});
+  return MncSketch::FromCounts(a.rows(), a.cols(), std::move(hr),
+                               std::move(hc));
 }
 
-// Parallel Eq. 15 materialization: `stage(lo, hi, out)` fills the estimates
-// for one block (typically one vectorized kernel call); rounding then
-// consumes per-block PRNG streams in index order (same determinism contract
-// as ScaleCountsPar).
-std::vector<int64_t> RoundStagedPar(
-    int64_t n, uint64_t seed, uint64_t stream, const ParallelConfig& config,
-    ThreadPool* pool, RoundingMode mode,
-    const std::function<void(int64_t, int64_t, double*)>& stage) {
-  std::vector<int64_t> out(static_cast<size_t>(n), 0);
-  const uint64_t stream_seed = MixSeed(seed, stream);
-  ParallelForBlocks(pool, config, n,
-                    [&](int64_t block, int64_t lo, int64_t hi) {
-    ScratchPool::Lease lease = ScratchPool::Global().Acquire();
-    std::vector<double>& est =
-        lease->StageDoubles(static_cast<size_t>(hi - lo));
-    stage(lo, hi, est.data());
-    Rng rng(MixSeed(stream_seed, static_cast<uint64_t>(block)));
-    for (int64_t i = lo; i < hi; ++i) {
-      out[static_cast<size_t>(i)] =
-          RoundCount(est[static_cast<size_t>(i - lo)], mode, rng);
-    }
-  });
-  return out;
+// Eq. 15 on per-block PRNG streams (see RoundStagedPar).
+MncSketch PropagateEWisePar(const MncSketch& a, const MncSketch& b,
+                            uint64_t seed, const ParallelConfig& orig,
+                            ThreadPool* pool, RoundingMode mode, bool add) {
+  MNC_CHECK_EQ(a.rows(), b.rows());
+  MNC_CHECK_EQ(a.cols(), b.cols());
+  // Calibrated seq-vs-par dispatch (num_threads only; see PropagateProduct).
+  const ParallelConfig config =
+      orig.ForStage(TunedStage::kPropagate, a.rows() + a.cols());
+  const double nnz_a = static_cast<double>(a.nnz());
+  const double nnz_b = static_cast<double>(b.nnz());
+  const double lambda_r = LambdaPar(a.hr(), b.hr(), nnz_a, nnz_b, config,
+                                    pool);
+  const double lambda_c = LambdaPar(a.hc(), b.hc(), nnz_a, nnz_b, config,
+                                    pool);
+  const double rows = static_cast<double>(a.rows());
+  const double cols = static_cast<double>(a.cols());
+  std::vector<int64_t> hr =
+      RoundStagedPar(a.rows(), kNoCap, seed, kStreamHr, config, pool, mode,
+                     EWiseStage{a.hr(), b.hr(), lambda_c, cols, add});
+  std::vector<int64_t> hc =
+      RoundStagedPar(a.cols(), kNoCap, seed, kStreamHc, config, pool, mode,
+                     EWiseStage{a.hc(), b.hc(), lambda_r, rows, add});
+  return MncSketch::FromCounts(a.rows(), a.cols(), std::move(hr),
+                               std::move(hc));
 }
 
 }  // namespace
@@ -145,48 +239,17 @@ MncSketch PropagateProduct(const MncSketch& a, const MncSketch& b, Rng& rng,
   }
   const double nnz_c =
       basic ? EstimateProductNnzBasic(a, b) : EstimateProductNnz(a, b);
-  std::vector<int64_t> hr = ScaleCounts(a.hr(), static_cast<double>(a.nnz()),
-                                        nnz_c, b.cols(), rng, mode);
-  std::vector<int64_t> hc = ScaleCounts(b.hc(), static_cast<double>(b.nnz()),
-                                        nnz_c, a.rows(), rng, mode);
+  auto scale = [&](const std::vector<int64_t>& counts, int64_t source_nnz,
+                   int64_t cap) {
+    if (source_nnz <= 0 || nnz_c <= 0.0) {
+      return std::vector<int64_t>(counts.size(), 0);
+    }
+    return RoundStaged(static_cast<int64_t>(counts.size()), cap, mode, rng,
+                       ScaleStage{counts, nnz_c / source_nnz});
+  };
+  std::vector<int64_t> hr = scale(a.hr(), a.nnz(), b.cols());
+  std::vector<int64_t> hc = scale(b.hc(), b.nnz(), a.rows());
   return MncSketch::FromCounts(a.rows(), b.cols(), std::move(hr),
-                               std::move(hc));
-}
-
-MncSketch PropagateEWiseAdd(const MncSketch& a, const MncSketch& b, Rng& rng,
-                            RoundingMode mode) {
-  MNC_CHECK_EQ(a.rows(), b.rows());
-  MNC_CHECK_EQ(a.cols(), b.cols());
-  const double nnz_a = static_cast<double>(a.nnz());
-  const double nnz_b = static_cast<double>(b.nnz());
-  const double lambda_r = Lambda(a.hr(), b.hr(), nnz_a, nnz_b);
-  const double lambda_c = Lambda(a.hc(), b.hc(), nnz_a, nnz_b);
-
-  // Eq. 15 estimates staged through the vectorized kernel; rounding consumes
-  // the caller's RNG in index order exactly like the original loop.
-  const kernels::KernelTable& k = kernels::Active();
-  ScratchPool::Lease lease = ScratchPool::Global().Acquire();
-  std::vector<int64_t> hr(a.hr().size());
-  {
-    std::vector<double>& est = lease->StageDoubles(hr.size());
-    k.ewise_add_est(a.hr().data(), b.hr().data(),
-                    static_cast<int64_t>(hr.size()), lambda_c,
-                    static_cast<double>(a.cols()), est.data());
-    for (size_t i = 0; i < hr.size(); ++i) {
-      hr[i] = RoundCount(est[i], mode, rng);
-    }
-  }
-  std::vector<int64_t> hc(a.hc().size());
-  {
-    std::vector<double>& est = lease->StageDoubles(hc.size());
-    k.ewise_add_est(a.hc().data(), b.hc().data(),
-                    static_cast<int64_t>(hc.size()), lambda_r,
-                    static_cast<double>(a.rows()), est.data());
-    for (size_t j = 0; j < hc.size(); ++j) {
-      hc[j] = RoundCount(est[j], mode, rng);
-    }
-  }
-  return MncSketch::FromCounts(a.rows(), a.cols(), std::move(hr),
                                std::move(hc));
 }
 
@@ -206,111 +269,41 @@ MncSketch PropagateProduct(const MncSketch& a, const MncSketch& b,
   // runs the same blocks inline — bit-identical by the contract above).
   const ParallelConfig cfg =
       config.ForStage(TunedStage::kPropagate, a.rows() + b.cols());
-  std::vector<int64_t> hr =
-      ScaleCountsPar(a.hr(), static_cast<double>(a.nnz()), nnz_c, b.cols(),
-                     seed, kStreamHr, cfg, pool, mode);
-  std::vector<int64_t> hc =
-      ScaleCountsPar(b.hc(), static_cast<double>(b.nnz()), nnz_c, a.rows(),
-                     seed, kStreamHc, cfg, pool, mode);
+  auto scale = [&](const std::vector<int64_t>& counts, int64_t source_nnz,
+                   int64_t cap, uint64_t stream) {
+    if (source_nnz <= 0 || nnz_c <= 0.0) {
+      return std::vector<int64_t>(counts.size(), 0);
+    }
+    return RoundStagedPar(static_cast<int64_t>(counts.size()), cap, seed,
+                          stream, cfg, pool, mode,
+                          ScaleStage{counts, nnz_c / source_nnz});
+  };
+  std::vector<int64_t> hr = scale(a.hr(), a.nnz(), b.cols(), kStreamHr);
+  std::vector<int64_t> hc = scale(b.hc(), b.nnz(), a.rows(), kStreamHc);
   return MncSketch::FromCounts(a.rows(), b.cols(), std::move(hr),
                                std::move(hc));
 }
 
-MncSketch PropagateEWiseAdd(const MncSketch& a, const MncSketch& b,
-                            uint64_t seed, const ParallelConfig& orig,
-                            ThreadPool* pool, RoundingMode mode) {
-  MNC_CHECK_EQ(a.rows(), b.rows());
-  MNC_CHECK_EQ(a.cols(), b.cols());
-  // Calibrated seq-vs-par dispatch (num_threads only; see PropagateProduct).
-  const ParallelConfig config =
-      orig.ForStage(TunedStage::kPropagate, a.rows() + a.cols());
-  const double nnz_a = static_cast<double>(a.nnz());
-  const double nnz_b = static_cast<double>(b.nnz());
-  const double lambda_r = LambdaPar(a.hr(), b.hr(), nnz_a, nnz_b, config,
-                                    pool);
-  const double lambda_c = LambdaPar(a.hc(), b.hc(), nnz_a, nnz_b, config,
-                                    pool);
-
-  const kernels::KernelTable& k = kernels::Active();
-  std::vector<int64_t> hr = RoundStagedPar(
-      a.rows(), seed, kStreamHr, config, pool, mode,
-      [&](int64_t lo, int64_t hi, double* est) {
-        k.ewise_add_est(a.hr().data() + lo, b.hr().data() + lo, hi - lo,
-                        lambda_c, static_cast<double>(a.cols()), est);
-      });
-  std::vector<int64_t> hc = RoundStagedPar(
-      a.cols(), seed, kStreamHc, config, pool, mode,
-      [&](int64_t lo, int64_t hi, double* est) {
-        k.ewise_add_est(a.hc().data() + lo, b.hc().data() + lo, hi - lo,
-                        lambda_r, static_cast<double>(a.rows()), est);
-      });
-  return MncSketch::FromCounts(a.rows(), a.cols(), std::move(hr),
-                               std::move(hc));
-}
-
-MncSketch PropagateEWiseMult(const MncSketch& a, const MncSketch& b,
-                             uint64_t seed, const ParallelConfig& orig,
-                             ThreadPool* pool, RoundingMode mode) {
-  MNC_CHECK_EQ(a.rows(), b.rows());
-  MNC_CHECK_EQ(a.cols(), b.cols());
-  // Calibrated seq-vs-par dispatch (num_threads only; see PropagateProduct).
-  const ParallelConfig config =
-      orig.ForStage(TunedStage::kPropagate, a.rows() + a.cols());
-  const double nnz_a = static_cast<double>(a.nnz());
-  const double nnz_b = static_cast<double>(b.nnz());
-  const double lambda_r = LambdaPar(a.hr(), b.hr(), nnz_a, nnz_b, config,
-                                    pool);
-  const double lambda_c = LambdaPar(a.hc(), b.hc(), nnz_a, nnz_b, config,
-                                    pool);
-
-  const kernels::KernelTable& k = kernels::Active();
-  std::vector<int64_t> hr = RoundStagedPar(
-      a.rows(), seed, kStreamHr, config, pool, mode,
-      [&](int64_t lo, int64_t hi, double* est) {
-        k.ewise_mult_est(a.hr().data() + lo, b.hr().data() + lo, hi - lo,
-                         lambda_c, est);
-      });
-  std::vector<int64_t> hc = RoundStagedPar(
-      a.cols(), seed, kStreamHc, config, pool, mode,
-      [&](int64_t lo, int64_t hi, double* est) {
-        k.ewise_mult_est(a.hc().data() + lo, b.hc().data() + lo, hi - lo,
-                         lambda_r, est);
-      });
-  return MncSketch::FromCounts(a.rows(), a.cols(), std::move(hr),
-                               std::move(hc));
+MncSketch PropagateEWiseAdd(const MncSketch& a, const MncSketch& b, Rng& rng,
+                            RoundingMode mode) {
+  return PropagateEWise(a, b, rng, mode, /*add=*/true);
 }
 
 MncSketch PropagateEWiseMult(const MncSketch& a, const MncSketch& b, Rng& rng,
                              RoundingMode mode) {
-  MNC_CHECK_EQ(a.rows(), b.rows());
-  MNC_CHECK_EQ(a.cols(), b.cols());
-  const double nnz_a = static_cast<double>(a.nnz());
-  const double nnz_b = static_cast<double>(b.nnz());
-  const double lambda_r = Lambda(a.hr(), b.hr(), nnz_a, nnz_b);
-  const double lambda_c = Lambda(a.hc(), b.hc(), nnz_a, nnz_b);
+  return PropagateEWise(a, b, rng, mode, /*add=*/false);
+}
 
-  const kernels::KernelTable& k = kernels::Active();
-  ScratchPool::Lease lease = ScratchPool::Global().Acquire();
-  std::vector<int64_t> hr(a.hr().size());
-  {
-    std::vector<double>& est = lease->StageDoubles(hr.size());
-    k.ewise_mult_est(a.hr().data(), b.hr().data(),
-                     static_cast<int64_t>(hr.size()), lambda_c, est.data());
-    for (size_t i = 0; i < hr.size(); ++i) {
-      hr[i] = RoundCount(est[i], mode, rng);
-    }
-  }
-  std::vector<int64_t> hc(a.hc().size());
-  {
-    std::vector<double>& est = lease->StageDoubles(hc.size());
-    k.ewise_mult_est(a.hc().data(), b.hc().data(),
-                     static_cast<int64_t>(hc.size()), lambda_r, est.data());
-    for (size_t j = 0; j < hc.size(); ++j) {
-      hc[j] = RoundCount(est[j], mode, rng);
-    }
-  }
-  return MncSketch::FromCounts(a.rows(), a.cols(), std::move(hr),
-                               std::move(hc));
+MncSketch PropagateEWiseAdd(const MncSketch& a, const MncSketch& b,
+                            uint64_t seed, const ParallelConfig& config,
+                            ThreadPool* pool, RoundingMode mode) {
+  return PropagateEWisePar(a, b, seed, config, pool, mode, /*add=*/true);
+}
+
+MncSketch PropagateEWiseMult(const MncSketch& a, const MncSketch& b,
+                             uint64_t seed, const ParallelConfig& config,
+                             ThreadPool* pool, RoundingMode mode) {
+  return PropagateEWisePar(a, b, seed, config, pool, mode, /*add=*/false);
 }
 
 MncSketch PropagateTranspose(const MncSketch& a) {

@@ -18,8 +18,9 @@
 
 namespace mnc {
 
-// Rounds x to floor(x) + Bernoulli(frac(x)) — unbiased, minimal variance
-// (§3.3 "Probabilistic Rounding").
+// Rounds x >= 0 to floor(x) + Bernoulli(frac(x)) — unbiased, minimal
+// variance (§3.3 "Probabilistic Rounding"). Draws from rng only when x has
+// a fraction; x is clamped to 2^52 first (no double above has one).
 int64_t ProbabilisticRound(double x, Rng& rng);
 
 // Rounding policy for propagated count vectors. §3.3 motivates
@@ -34,6 +35,13 @@ enum class RoundingMode {
 
 // Rounds according to `mode`; rng is only consulted for kProbabilistic.
 int64_t RoundCount(double x, RoundingMode mode, Rng& rng);
+
+// The vector form every Eq. 11/15 propagation uses: out[i] =
+// min(RoundCount(est[i], mode, rng), cap) for est[i] >= 0, drawing from rng
+// exactly as that loop would in index order — one draw per entry with a
+// fraction.
+void RoundInto(const double* est, int64_t n, int64_t cap, RoundingMode mode,
+               Rng& rng, int64_t* out);
 
 // Sketch of C = A B. When `basic` is true, uses the MNC Basic estimator and
 // skips the diagonal short-circuit.

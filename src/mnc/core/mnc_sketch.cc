@@ -1,7 +1,6 @@
 #include "mnc/core/mnc_sketch.h"
 
 #include <algorithm>
-#include <numeric>
 #include <optional>
 
 #include "mnc/util/check.h"
@@ -348,35 +347,47 @@ int64_t MncSketch::MemoryBytes() const {
   return allocated + static_cast<int64_t>(sizeof(MncSketch));
 }
 
-void MncSketch::RecomputeSummary() {
-  nnz_ = std::accumulate(hr_.begin(), hr_.end(), int64_t{0});
-  const int64_t nnz_by_cols =
-      std::accumulate(hc_.begin(), hc_.end(), int64_t{0});
-  // Propagated sketches round probabilistically, so row and column totals
-  // may drift apart slightly; keep the row total as canonical but demand
-  // consistency for sketches built from matrices (checked in tests).
-  (void)nnz_by_cols;
+namespace {
 
-  max_hr_ = 0;
-  non_empty_rows_ = 0;
-  half_full_rows_ = 0;
-  single_nnz_rows_ = 0;
-  for (int64_t c : hr_) {
-    max_hr_ = std::max(max_hr_, c);
-    if (c > 0) ++non_empty_rows_;
-    if (2 * c > cols_) ++half_full_rows_;
-    if (c == 1) ++single_nnz_rows_;
+struct CountSummary {
+  int64_t sum = 0;
+  int64_t max = 0;
+  int64_t non_empty = 0;
+  int64_t half_full = 0;
+  int64_t single = 0;
+};
+
+// One branch-free sweep over a count vector: each statistic is a max or a
+// 0/1 add, so interleaved empty and non-empty rows cost no mispredictions.
+CountSummary Summarize(const std::vector<int64_t>& counts, int64_t other_dim) {
+  CountSummary s;
+  for (const int64_t c : counts) {
+    s.sum += c;
+    s.max = std::max(s.max, c);
+    s.non_empty += c > 0;
+    s.half_full += 2 * c > other_dim;
+    s.single += c == 1;
   }
-  max_hc_ = 0;
-  non_empty_cols_ = 0;
-  half_full_cols_ = 0;
-  single_nnz_cols_ = 0;
-  for (int64_t c : hc_) {
-    max_hc_ = std::max(max_hc_, c);
-    if (c > 0) ++non_empty_cols_;
-    if (2 * c > rows_) ++half_full_cols_;
-    if (c == 1) ++single_nnz_cols_;
-  }
+  return s;
+}
+
+}  // namespace
+
+void MncSketch::RecomputeSummary() {
+  // Propagated sketches round probabilistically, so row and column totals
+  // may drift apart slightly; the row total is canonical (sketches built
+  // from matrices agree on both, checked in tests).
+  const CountSummary r = Summarize(hr_, cols_);
+  const CountSummary c = Summarize(hc_, rows_);
+  nnz_ = r.sum;
+  max_hr_ = r.max;
+  non_empty_rows_ = r.non_empty;
+  half_full_rows_ = r.half_full;
+  single_nnz_rows_ = r.single;
+  max_hc_ = c.max;
+  non_empty_cols_ = c.non_empty;
+  half_full_cols_ = c.half_full;
+  single_nnz_cols_ = c.single;
 }
 
 }  // namespace mnc

@@ -16,8 +16,6 @@ uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 uint64_t MixSeed(uint64_t a, uint64_t b) {
@@ -28,23 +26,6 @@ uint64_t MixSeed(uint64_t a, uint64_t b) {
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : s_) s = SplitMix64(sm);
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::Uniform() {
-  // 53 random mantissa bits.
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * Uniform(); }
@@ -59,12 +40,6 @@ int64_t Rng::UniformInt(int64_t n) {
     x = Next();
   } while (x >= limit);
   return static_cast<int64_t>(x % un);
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return Uniform() < p;
 }
 
 double Rng::Exponential(double lambda) {

@@ -4,10 +4,16 @@
 // rounding in sketch propagation, sampling estimators, layered-graph
 // r-vectors) draw from an explicitly seeded Rng so that experiments and tests
 // are reproducible. The engine is xoshiro256**, seeded via splitmix64.
+//
+// Next(), Uniform() and Bernoulli() are defined inline below: propagation
+// rounding (RoundInto in mnc/core/mnc_propagation.cc) draws once per
+// fractional count entry, and the build has no LTO to inline an
+// out-of-line draw. Inlining changes neither the engine nor the sequence.
 
 #ifndef MNC_UTIL_RANDOM_H_
 #define MNC_UTIL_RANDOM_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -26,10 +32,20 @@ class Rng {
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
   // Raw 64 random bits.
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
-  // Uniform double in [0, 1).
-  double Uniform();
+  // Uniform double in [0, 1): 53 random mantissa bits.
+  double Uniform() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
 
   // Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
@@ -37,8 +53,13 @@ class Rng {
   // Uniform integer in [0, n). Requires n > 0.
   int64_t UniformInt(int64_t n);
 
-  // Bernoulli trial with success probability p (clamped to [0, 1]).
-  bool Bernoulli(double p);
+  // Bernoulli trial with success probability p (clamped to [0, 1]). Draws
+  // only when 0 < p < 1.
+  bool Bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return Uniform() < p;
+  }
 
   // Exponentially distributed value with rate lambda (> 0).
   double Exponential(double lambda = 1.0);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "mnc/core/mnc_estimator.h"
 
 #include "mnc/matrix/coo_matrix.h"
@@ -10,7 +15,9 @@
 #include "mnc/matrix/ops_product.h"
 #include "mnc/matrix/ops_reorg.h"
 #include "mnc/sparsest/metrics.h"
+#include "mnc/util/parallel.h"
 #include "mnc/util/random.h"
+#include "mnc/util/thread_pool.h"
 
 namespace mnc {
 namespace {
@@ -215,6 +222,170 @@ TEST(PropagationTest, EWisePropagationMatchesScalarEstimates) {
   MncSketch add = PropagateEWiseAdd(ha, hb, rng);
   EXPECT_NEAR(static_cast<double>(add.nnz()), EstimateEWiseAddNnz(ha, hb),
               0.1 * EstimateEWiseAddNnz(ha, hb) + 5.0);
+}
+
+// The per-element rounding loop RoundInto replaced, kept as the oracle:
+// floor + Bernoulli(frac) (or llround), then clamp to [0, cap], drawing in
+// index order.
+int64_t ScalarLoopRound(double x, RoundingMode mode, Rng& rng) {
+  if (mode == RoundingMode::kDeterministic) {
+    return static_cast<int64_t>(std::llround(x));
+  }
+  const double fl = std::floor(x);
+  return static_cast<int64_t>(fl) + (rng.Bernoulli(x - fl) ? 1 : 0);
+}
+
+std::vector<int64_t> ScalarLoop(const std::vector<double>& est, int64_t cap,
+                                RoundingMode mode, Rng& rng) {
+  std::vector<int64_t> out(est.size());
+  for (size_t i = 0; i < est.size(); ++i) {
+    out[i] = std::clamp<int64_t>(ScalarLoopRound(est[i], mode, rng), 0, cap);
+  }
+  return out;
+}
+
+std::vector<int64_t> Fused(const std::vector<double>& est, int64_t cap,
+                           RoundingMode mode, Rng& rng) {
+  std::vector<int64_t> out(est.size(), -1);
+  RoundInto(est.data(), static_cast<int64_t>(est.size()), cap, mode, rng,
+            out.data());
+  return out;
+}
+
+// Zeros, exact integers, fractions, values above cap and (when `huge`)
+// values at or above 2^52, interleaved at random.
+std::vector<double> MixedEstimates(size_t n, int64_t cap, bool huge,
+                                   Rng& gen) {
+  std::vector<double> est(n);
+  const double span = std::min(static_cast<double>(cap), 1e6) + 3.0;
+  for (double& x : est) {
+    switch (gen.UniformInt(huge ? 6 : 5)) {
+      case 0: x = 0.0; break;
+      case 1: x = static_cast<double>(gen.UniformInt(40)); break;
+      case 2: x = gen.Uniform(0.0, 1.0); break;
+      case 3: x = gen.Uniform(0.0, span); break;
+      case 4: x = span + gen.Uniform(0.0, span); break;
+      default: x = 0x1p52 * (1.0 + gen.Uniform(0.0, 255.0)); break;
+    }
+  }
+  return est;
+}
+
+TEST(PropagationRoundingTest, FusedMatchesScalarLoop) {
+  const int64_t kNoCap = std::numeric_limits<int64_t>::max();
+  struct Case {
+    int64_t cap;
+    bool huge;  // int64(x) for x >= 2^52 equals the fused 2^52 only up to a
+                // cap <= 2^52
+  };
+  const Case cases[] = {{0, true},    {1, true},          {7, true},
+                        {1000, true}, {int64_t{1} << 52, true},
+                        {kNoCap, false}};
+  const size_t lengths[] = {0, 1, 2, 3, 1023, 1024, 1025, 2047, 2048, 2049};
+  Rng gen(17);
+  for (const RoundingMode mode :
+       {RoundingMode::kProbabilistic, RoundingMode::kDeterministic}) {
+    for (const Case& c : cases) {
+      for (const size_t n : lengths) {
+        const std::vector<double> est = MixedEstimates(n, c.cap, c.huge, gen);
+        const uint64_t seed = gen.Next();
+        Rng oracle_rng(seed);
+        Rng fused_rng(seed);
+        EXPECT_EQ(Fused(est, c.cap, mode, fused_rng),
+                  ScalarLoop(est, c.cap, mode, oracle_rng))
+            << "cap=" << c.cap << " n=" << n;
+        // Same number of draws consumed.
+        EXPECT_EQ(fused_rng.Next(), oracle_rng.Next())
+            << "cap=" << c.cap << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(PropagationRoundingTest, ScalarApiTakesTheSameStep) {
+  // RoundCount element by element, then min(cap), is the vector routine.
+  Rng gen(18);
+  for (const RoundingMode mode :
+       {RoundingMode::kProbabilistic, RoundingMode::kDeterministic}) {
+    const int64_t cap = 900;
+    const std::vector<double> est = MixedEstimates(3000, cap, true, gen);
+    Rng scalar_rng(5);
+    Rng fused_rng(5);
+    std::vector<int64_t> scalar(est.size());
+    for (size_t i = 0; i < est.size(); ++i) {
+      scalar[i] = std::min(RoundCount(est[i], mode, scalar_rng), cap);
+    }
+    EXPECT_EQ(Fused(est, cap, mode, fused_rng), scalar);
+    EXPECT_EQ(fused_rng.Next(), scalar_rng.Next());
+  }
+  // Above 2^52 a double has no fraction: no draw, and the value truncates
+  // to 2^52.
+  Rng rng(6);
+  Rng untouched(6);
+  EXPECT_EQ(ProbabilisticRound(0x1p60, rng), int64_t{1} << 52);
+  EXPECT_EQ(ProbabilisticRound(0x1p52, rng), int64_t{1} << 52);
+  EXPECT_EQ(rng.Next(), untouched.Next());
+}
+
+TEST(PropagationRoundingTest, ParOverloadsMatchBlockOracleAtAnyThreadCount) {
+  // Dimensions straddle the 1024-entry blocks that key the PRNG streams.
+  Rng gen(19);
+  const MncSketch a =
+      MncSketch::FromCsr(GenerateUniformSparse(2049, 3100, 0.002, gen));
+  const MncSketch b =
+      MncSketch::FromCsr(GenerateUniformSparse(3100, 1025, 0.003, gen));
+  const MncSketch c =
+      MncSketch::FromCsr(GenerateUniformSparse(2049, 3100, 0.004, gen));
+  const uint64_t seed = 23;
+  ThreadPool pool(7);
+  for (const RoundingMode mode :
+       {RoundingMode::kProbabilistic, RoundingMode::kDeterministic}) {
+    ParallelConfig one;
+    one.num_threads = 1;
+    const MncSketch product = PropagateProduct(a, b, seed, one, &pool,
+                                               /*basic=*/false, mode);
+    const MncSketch add = PropagateEWiseAdd(a, c, seed, one, &pool, mode);
+    const MncSketch mult = PropagateEWiseMult(a, c, seed, one, &pool, mode);
+
+    // Eq. 11 oracle: block k of the hr (stream 0) or hc (stream 1) vector
+    // rounds with Rng(MixSeed(MixSeed(seed, stream), k)) in index order.
+    const double nnz_c = EstimateProductNnz(a, b, one, &pool);
+    auto oracle = [&](const std::vector<int64_t>& counts, double source_nnz,
+                      int64_t cap, uint64_t stream) {
+      std::vector<int64_t> out;
+      const size_t block = static_cast<size_t>(one.min_rows_per_task);
+      for (size_t lo = 0; lo < counts.size(); lo += block) {
+        Rng rng(MixSeed(MixSeed(seed, stream), lo / block));
+        std::vector<double> est;
+        for (size_t i = lo; i < std::min(counts.size(), lo + block); ++i) {
+          est.push_back(static_cast<double>(counts[i]) *
+                        (nnz_c / source_nnz));
+        }
+        const std::vector<int64_t> part = ScalarLoop(est, cap, mode, rng);
+        out.insert(out.end(), part.begin(), part.end());
+      }
+      return out;
+    };
+    EXPECT_EQ(product.hr(),
+              oracle(a.hr(), static_cast<double>(a.nnz()), b.cols(), 0));
+    EXPECT_EQ(product.hc(),
+              oracle(b.hc(), static_cast<double>(b.nnz()), a.rows(), 1));
+
+    for (const int threads : {2, 7}) {
+      ParallelConfig par;
+      par.num_threads = threads;
+      const MncSketch p = PropagateProduct(a, b, seed, par, &pool,
+                                           /*basic=*/false, mode);
+      EXPECT_EQ(p.hr(), product.hr()) << threads;
+      EXPECT_EQ(p.hc(), product.hc()) << threads;
+      const MncSketch s = PropagateEWiseAdd(a, c, seed, par, &pool, mode);
+      EXPECT_EQ(s.hr(), add.hr()) << threads;
+      EXPECT_EQ(s.hc(), add.hc()) << threads;
+      const MncSketch m = PropagateEWiseMult(a, c, seed, par, &pool, mode);
+      EXPECT_EQ(m.hr(), mult.hr()) << threads;
+      EXPECT_EQ(m.hc(), mult.hc()) << threads;
+    }
+  }
 }
 
 // Chain-propagation accuracy property: two-hop product chains estimated via

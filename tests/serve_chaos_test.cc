@@ -208,21 +208,27 @@ TEST(ServeChaosTest, PipelinedStormSurvivesMidBurstConnectionCloses) {
   std::atomic<int64_t> aborted{0};  // bursts deliberately closed mid-burst
   std::atomic<int64_t> unresolved{0};
   std::atomic<bool> stop_chaos{false};
+  // Full passes the chaos thread has made over every fail point. Clients
+  // keep bursting until there is one, so each point is armed mid-storm.
+  std::atomic<int> chaos_cycles{0};
 
   std::thread chaos([&] {
     const char* points[] = {
         "serve.deadline",       "serve.read_frame",  "serve.write_frame",
         "service.catalog_read", "service.plan_poison",
     };
+    constexpr int kPoints = sizeof(points) / sizeof(points[0]);
     int round = 0;
     while (!stop_chaos.load(std::memory_order_acquire)) {
       {
-        ScopedFailPoint fp(
-            points[round % (sizeof(points) / sizeof(points[0]))]);
+        ScopedFailPoint fp(points[round % kPoints]);
         std::this_thread::sleep_for(std::chrono::milliseconds(7));
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
       ++round;
+      if (round % kPoints == 0) {
+        chaos_cycles.fetch_add(1, std::memory_order_release);
+      }
     }
   });
 
@@ -231,7 +237,10 @@ TEST(ServeChaosTest, PipelinedStormSurvivesMidBurstConnectionCloses) {
   for (int t = 0; t < kClientThreads; ++t) {
     clients.emplace_back([&, t] {
       Rng rng(static_cast<uint64_t>(t) + 77);
-      for (int iter = 0; iter < kItersPerThread; ++iter) {
+      for (int iter = 0;
+           iter < kItersPerThread ||
+           chaos_cycles.load(std::memory_order_acquire) == 0;
+           ++iter) {
         ServeClient client;
         if (!client.Connect(port, /*timeout_ms=*/2000).ok()) {
           transport.fetch_add(1, std::memory_order_relaxed);
@@ -291,6 +300,8 @@ TEST(ServeChaosTest, PipelinedStormSurvivesMidBurstConnectionCloses) {
   EXPECT_EQ(unresolved.load(), 0);
   EXPECT_GT(resolved.load(), 0);
   EXPECT_GT(aborted.load(), 0) << "mid-burst closes never happened";
+  EXPECT_GE(chaos_cycles.load(), 1)
+      << "the storm ended before every fail point was armed";
   const ServerStats mid = server.stats();
   // The faults actually bit.
   EXPECT_GT(mid.read_faults + mid.write_faults + mid.deadline_errors, 0);
